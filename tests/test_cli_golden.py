@@ -1,0 +1,141 @@
+"""Golden CLI corpus: exit code, stdout and stderr of ``kholo.cli.main``, byte for byte.
+
+Each case is one in-process call.  The recorded outputs live in
+``data/cli_golden.json``; after a deliberate change of output, rewrite them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of the data file.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from kholo.cli import main
+
+GOLDEN = Path(__file__).with_name("data") / "cli_golden.json"
+
+
+def _doc(dim, vertices, top, marked, endpoints):
+    return json.dumps({
+        "ambient_dim": dim,
+        "vertices": [[str(c) for c in v] for v in vertices],
+        "top": top,
+        "marked": marked,
+        "endpoints": endpoints,
+    })
+
+
+_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+_STRIP = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+_STRIP_TOP = [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4]]
+
+# (id, argv, stdin)
+CASES = [
+    # reconstruct
+    ("reconstruct-doc", ["reconstruct", "-n", "1", "x^2 - y^2"], None),
+    ("reconstruct-plain", ["reconstruct", "-n", "1", "--format", "plain", "x^2 - y^2"], None),
+    ("reconstruct-negative", ["reconstruct", "-n", "1", "x^2"], None),
+    ("reconstruct-n2-plain", ["reconstruct", "-n", "2", "--format", "plain", "x1*x2 - y1*y2"], None),
+    ("reconstruct-stdin", ["reconstruct", "-n", "1", "-"], "x*y\n"),
+    ("reconstruct-syntax", ["reconstruct", "-n", "1", "x +* y"], None),
+    ("reconstruct-negative-exponent", ["reconstruct", "-n", "1", "x^-1"], None),
+    ("reconstruct-unbalanced", ["reconstruct", "-n", "1", "x1^2 + (1"], None),
+    ("reconstruct-unknown-variable", ["reconstruct", "-n", "1", "x3 + 1"], None),
+    ("reconstruct-division-by-zero", ["reconstruct", "-n", "1", "1/0"], None),
+    ("reconstruct-degree-overflow", ["reconstruct", "-n", "1", "x^100000000"], None),
+    # pluriharmonic
+    ("pluriharmonic-doc", ["pluriharmonic", "-n", "1", "x^2 - y^2"], None),
+    ("pluriharmonic-negative", ["pluriharmonic", "-n", "1", "x^2"], None),
+    ("pluriharmonic-n2-plain", ["pluriharmonic", "-n", "2", "--format", "plain", "x1*y2"], None),
+    # verify-g
+    ("verify-g-doc", ["verify-g", "-n", "2", "z1*z2 + i*z1^3"], None),
+    ("verify-g-plain", ["verify-g", "-n", "1", "--format", "plain", "z1^2 + 1"], None),
+    ("verify-g-unknown-variable", ["verify-g", "-n", "1", "z2"], None),
+    # eliminate
+    ("eliminate-doc", ["eliminate", "-n", "1", "t - x^2 + y^2", "t - 2*x*y"], None),
+    ("eliminate-plain", ["eliminate", "-n", "1", "--format", "plain", "t - x^2 + y^2", "t - 2*x*y"], None),
+    ("eliminate-translated", ["eliminate", "-n", "1", "y*t - y*x", "t - y"], None),
+    ("eliminate-non-real", ["eliminate", "-n", "1", "i*t", "t"], None),
+    ("eliminate-zero", ["eliminate", "-n", "1", "0", "t"], None),
+    ("eliminate-no-t", ["eliminate", "-n", "1", "x", "y"], None),
+    ("eliminate-no-basepoint", ["eliminate", "-n", "1", "--bound", "0", "y", "t"], None),
+    ("eliminate-unknown-variable", ["eliminate", "-n", "1", "t - z1", "t"], None),
+    # discriminant
+    ("discriminant-doc", ["discriminant", "-n", "1", "t^2 - z1"], None),
+    ("discriminant-n2-plain", ["discriminant", "-n", "2", "--format", "plain", "t^3 - z1*t + z2"], None),
+    ("discriminant-other-variable", ["discriminant", "-n", "1", "-t", "z1", "t^2 - z1"], None),
+    ("discriminant-unknown-fiber-variable", ["discriminant", "-n", "1", "-t", "q", "t^2 - z1"], None),
+    ("discriminant-zero-degree", ["discriminant", "-n", "1", "z1 + 1"], None),
+    # fibers
+    ("fibers-doc", ["fibers", "-n", "1", "t^2 - z1", "1; 2; 1+i; -1"], None),
+    ("fibers-plain", ["fibers", "-n", "1", "--format", "plain", "t^3 - z1", "1; 2"], None),
+    ("fibers-no-samples", ["fibers", "-n", "1", "t^2 - z1", ";"], None),
+    ("fibers-on-locus", ["fibers", "-n", "1", "t^2 - z1", "1; 0"], None),
+    ("fibers-leading-vanishes", ["fibers", "-n", "1", "z1*t^2 + t + 1", "0"], None),
+    ("fibers-arity", ["fibers", "-n", "2", "t^2 - z1", "1"], None),
+    # route
+    ("route-doc", ["route", "-"], _doc(2, _STRIP, _STRIP_TOP, [[1]], [0, 5])),
+    ("route-plain", ["route", "--format", "plain", "-"],
+     _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [[1], [3]], [0, 2])),
+    ("route-disconnected", ["route", "-"],
+     _doc(2, [(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)],
+          [[0, 1, 2], [3, 4, 5]], [], [0, 3])),
+    ("route-invalid-json", ["route", "-"], "{not json"),
+    ("route-overlap", ["route", "-"],
+     _doc(2, _SQUARE, [[0, 1, 2], [0, 1, 3]], [], [0, 2])),
+    ("route-marked-not-a-face", ["route", "-"],
+     _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [[1, 3]], [0, 2])),
+    ("route-marked-edge", ["route", "-"],
+     _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [[0, 1]], [0, 2])),
+    ("route-endpoint-out-of-range", ["route", "-"],
+     _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [], [0, 9])),
+    ("route-endpoint-in-no-top", ["route", "-"],
+     _doc(2, _SQUARE + [(5, 5)], [[0, 1, 2], [0, 2, 3]], [], [0, 4])),
+    # malformed route documents
+    ("route-malformed-no-vertices", ["route", "-"], '{"ambient_dim": 2}'),
+    ("route-malformed-list", ["route", "-"], "[1, 2]"),
+    ("route-malformed-coordinate", ["route", "-"],
+     _doc(2, [("a", 0), (1, 0), (0, 1)], [[0, 1, 2]], [], [0, 1])),
+    ("route-malformed-endpoints", ["route", "-"],
+     json.dumps({"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+                 "top": [[0, 1, 2]], "marked": [], "endpoints": [0]})),
+    # selftest
+    ("selftest-seed-3", ["selftest", "--seed", "3"], None),
+]
+
+
+def run_case(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_corpus_matches_recorded_cases():
+    assert sorted(_golden()) == sorted(case_id for case_id, _, _ in CASES)
+
+
+@pytest.mark.parametrize("case_id, argv, stdin", CASES, ids=[c[0] for c in CASES])
+def test_golden(case_id, argv, stdin):
+    assert run_case(argv, stdin) == _golden()[case_id]
+
+
+if __name__ == "__main__":
+    recorded = {case_id: run_case(argv, stdin) for case_id, argv, stdin in CASES}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
