@@ -72,9 +72,9 @@ def bench_end_to_end(pure):
         "import random, time\n"
         "from kholo.polynomials import VarSpace, split_real_imag\n"
         "from kholo.cartan import reconstruct_from_real_part\n"
-        "from kholo.selftest import random_polynomial\n"
+        "from kholo.selftest import random_poly\n"
         "rng = random.Random(12)\n"
-        "polys = [random_polynomial(VarSpace.z(2), rng, max_degree=6,"
+        "polys = [random_poly(VarSpace.z(2), rng, max_degree=6,"
         " max_terms=10, zero_constant=True) for _ in range(30)]\n"
         "t0 = time.perf_counter()\n"
         "for f in polys:\n"

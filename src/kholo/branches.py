@@ -20,7 +20,7 @@ from kholo.errors import (
 )
 from kholo.eliminate import sylvester_resultant
 from kholo.polynomials import SparsePoly, exact_divide, univariate_coefficients
-from kholo.rationals import GQ_ZERO, as_gaussian
+from kholo.rationals import GQ_ZERO, GaussianRational, as_gaussian
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -28,7 +28,7 @@ DEFAULT_MAX_ITER = 200
 
 @dataclass
 class FiberSample:
-    point: tuple
+    point: tuple[GaussianRational, ...]
     on_locus: bool
     fiber_count: int
 
@@ -41,7 +41,7 @@ class BranchReport:
 
     p: SparsePoly
     discriminant: SparsePoly
-    samples: list
+    samples: list[FiberSample]
     covering_degree: int | None
 
 

@@ -5,7 +5,9 @@ document (or a plain rendering with ``--format plain``) to standard output.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict (not
 pluriharmonic, degenerate resultant, mismatched covering counts, no route),
-2 input error, 3 internal error.
+2 input error, 3 internal error.  A handler returns 0 or 1 for its verdict;
+an error's code is declared on its class in :mod:`kholo.errors`, so the CLI
+catches only ``KholoError`` and needs no list of error classes.
 """
 
 import argparse
@@ -17,29 +19,7 @@ from kholo import reports, selftest
 from kholo.branches import covering_check, discriminant
 from kholo.cartan import check_pluriharmonic, reconstruct_from_real_part, verify_g_holomorphic
 from kholo.eliminate import AnnihilatorPair, eliminate_annihilator
-from kholo.errors import (
-    BasepointNotFound,
-    DegreeOverflow,
-    DegreeZeroBoth,
-    Disconnected,
-    DivisionByZero,
-    ExprSyntaxError,
-    IncompleteAssignment,
-    IncompleteSubstitution,
-    IndexOutOfRange,
-    InvalidComplex,
-    InvalidEndpoints,
-    InvalidPath,
-    KholoError,
-    LeadingCoefficientVanishes,
-    NonRealCoefficients,
-    NonZSpace,
-    PointOnLocus,
-    SpaceMismatch,
-    UnknownVariable,
-    ZeroDegree,
-    ZeroInput,
-)
+from kholo.errors import KholoError
 from kholo.exprio import parse_point, parse_poly, print_poly
 from kholo.polynomials import VarSpace
 from kholo.simplicial import route_path, verify_avoidance
@@ -49,27 +29,8 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_INPUT_ERRORS = (
-    ExprSyntaxError,
-    UnknownVariable,
-    DivisionByZero,
-    SpaceMismatch,
-    IncompleteAssignment,
-    IncompleteSubstitution,
-    NonZSpace,
-    NonRealCoefficients,
-    IndexOutOfRange,
-    DegreeOverflow,
-    ZeroInput,
-    DegreeZeroBoth,
-    BasepointNotFound,
-    ZeroDegree,
-    LeadingCoefficientVanishes,
-    PointOnLocus,
-    InvalidComplex,
-    InvalidEndpoints,
-    InvalidPath,
-)
+# the stderr prefix of an error, by its exit code
+_PREFIXES = {EXIT_NEGATIVE: "no route", EXIT_INPUT: "error", EXIT_INTERNAL: "internal error"}
 
 
 def _read_text_arg(value):
@@ -95,7 +56,7 @@ def _cmd_reconstruct(args):
     report = reconstruct_from_real_part(u)
     code = EXIT_OK if report.reconstructed else EXIT_NEGATIVE
     doc = reports.document("reconstruct", {"u": reports.poly_to_doc(u)},
-                           reports.cartan_report_to_doc(report), code)
+                           reports.report_to_doc(report), code)
     _emit(args, doc, [print_poly(report.candidate)])
     return code
 
@@ -138,17 +99,13 @@ def _cmd_eliminate(args):
     space = VarSpace.xyt(args.n)
     p1 = parse_poly(_read_text_arg(args.p1), space)
     p2 = parse_poly(_read_text_arg(args.p2), space)
-    try:
-        pair = AnnihilatorPair(p1=p1, p2=p2, n=args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    pair = AnnihilatorPair(p1=p1, p2=p2, n=args.n)
     report = eliminate_annihilator(pair, bound=args.bound)
     code = EXIT_NEGATIVE if report.degenerate else EXIT_OK
     doc = reports.document(
         "eliminate",
         {"p1": reports.poly_to_doc(p1), "p2": reports.poly_to_doc(p2)},
-        reports.elimination_report_to_doc(report), code)
+        reports.report_to_doc(report), code)
     _emit(args, doc, [print_poly(report.annihilator)])
     return code
 
@@ -171,7 +128,7 @@ def _cmd_fibers(args):
     report = covering_check(p, points, tol=args.tol)
     code = EXIT_OK if report.covering_degree is not None else EXIT_NEGATIVE
     doc = reports.document("fibers", {"p": reports.poly_to_doc(p)},
-                           reports.branch_report_to_doc(report), code)
+                           reports.report_to_doc(report), code)
     counts = " ".join(str(s.fiber_count) for s in report.samples)
     _emit(args, doc, [f"degree {report.covering_degree} counts {counts}"])
     return code
@@ -185,14 +142,10 @@ def _cmd_route(args):
         print(f"error: invalid document: {exc}", file=sys.stderr)
         return EXIT_INPUT
     complex_, sub = reports.complex_from_doc(payload)
-    try:
-        path = route_path(complex_, sub)
-    except Disconnected as exc:
-        print(f"no route: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    path = route_path(complex_, sub)
     avoided, witness = verify_avoidance(path, complex_, sub)
     code = EXIT_OK if avoided else EXIT_NEGATIVE
-    result = reports.path_to_doc(path)
+    result = reports.report_to_doc(path)
     result["avoided"] = avoided
     if witness is not None:
         result["violation"] = {"segment": witness[0], "face": list(witness[1])}
@@ -277,17 +230,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Disconnected as exc:
-        print(f"no route: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except KholoError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"{_PREFIXES[EXIT_INTERNAL]}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -16,11 +16,13 @@ the polynomial ring.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from kholo.errors import (
     BasepointNotFound,
     DegreeZeroBoth,
+    NonRealCoefficients,
     SpaceMismatch,
     ZeroInput,
 )
@@ -53,7 +55,7 @@ class AnnihilatorPair:
             if p.is_zero():
                 raise ZeroInput(f"{label} is the zero polynomial")
             if not p.has_real_coefficients():
-                raise ValueError(f"{label} must have real coefficients")
+                raise NonRealCoefficients(f"{label} must have real coefficients")
 
 
 @dataclass
@@ -66,8 +68,8 @@ class EliminationReport:
     case no annihilator was obtained.
     """
 
-    basepoint_x: tuple
-    basepoint_y: tuple
+    basepoint_x: tuple[Fraction, ...]
+    basepoint_y: tuple[Fraction, ...]
     q1: SparsePoly
     q2: SparsePoly
     annihilator: SparsePoly
@@ -241,8 +243,8 @@ def eliminate_annihilator(pair, bound=5):
         annihilator = LinearSubst(zt, zt, back).apply(resultant)
 
     return EliminationReport(
-        basepoint_x=x0,
-        basepoint_y=y0,
+        basepoint_x=tuple(map(Fraction, x0)),
+        basepoint_y=tuple(map(Fraction, y0)),
         q1=q1,
         q2=q2,
         annihilator=annihilator,

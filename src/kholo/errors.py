@@ -1,51 +1,62 @@
 """Exception types shared across the toolkit.
 
 Every error raised by kholo derives from :class:`KholoError`, so callers can
-catch toolkit failures without swallowing genuine bugs.
+catch toolkit failures without swallowing genuine bugs.  Each class declares
+the process exit code the CLI returns for it: 2 for an input error (every
+:class:`InputError`), 1 for a negative verdict (:class:`Disconnected`), and
+3, the default, for an internal error.
 """
 
 
 class KholoError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 3
+
+
+class InputError(KholoError):
+    """The input is malformed or outside a pipeline's hypotheses."""
+
+    exit_code = 2
+
 
 # -- scalars ----------------------------------------------------------------
 
-class DivisionByZero(KholoError, ZeroDivisionError):
+class DivisionByZero(InputError, ZeroDivisionError):
     """Division by the zero element of Q(i)."""
 
 
 # -- polynomials ------------------------------------------------------------
 
-class SpaceMismatch(KholoError):
+class SpaceMismatch(InputError):
     """Two polynomials from different variable spaces were combined."""
 
 
-class UnknownVariable(KholoError):
+class UnknownVariable(InputError):
     """A variable name is not part of the relevant variable space."""
 
 
-class IncompleteSubstitution(KholoError):
+class IncompleteSubstitution(InputError):
     """A substitution lacks an image for a variable that occurs."""
 
 
-class IncompleteAssignment(KholoError):
+class IncompleteAssignment(InputError):
     """An evaluation point lacks a value for a variable that occurs."""
 
 
-class NonZSpace(KholoError):
+class NonZSpace(InputError):
     """Operation requires a polynomial in complex z-variables only."""
 
 
-class NonRealCoefficients(KholoError):
+class NonRealCoefficients(InputError, ValueError):
     """Operation requires a polynomial with real coefficients."""
 
 
-class IndexOutOfRange(KholoError):
+class IndexOutOfRange(InputError):
     """A complex-coordinate index is outside 1..n."""
 
 
-class DegreeOverflow(KholoError):
+class DegreeOverflow(InputError):
     """A computed degree exceeds the supported bound."""
 
 
@@ -55,25 +66,25 @@ class InexactDivision(KholoError):
 
 # -- elimination ------------------------------------------------------------
 
-class ZeroInput(KholoError):
+class ZeroInput(InputError):
     """Resultant of the zero polynomial is undefined."""
 
 
-class DegreeZeroBoth(KholoError):
+class DegreeZeroBoth(InputError):
     """Both resultant arguments are constant in the elimination variable."""
 
 
-class BasepointNotFound(KholoError):
+class BasepointNotFound(InputError):
     """No admissible translation point inside the search grid."""
 
 
 # -- branches ---------------------------------------------------------------
 
-class ZeroDegree(KholoError):
+class ZeroDegree(InputError):
     """Discriminant requires positive degree in the fiber variable."""
 
 
-class LeadingCoefficientVanishes(KholoError):
+class LeadingCoefficientVanishes(InputError):
     """Specialization point kills the leading fiber coefficient."""
 
 
@@ -81,13 +92,13 @@ class NonConvergence(KholoError):
     """Numeric root iteration hit its iteration cap."""
 
 
-class PointOnLocus(KholoError):
+class PointOnLocus(InputError):
     """A sample point lies on the discriminant locus."""
 
 
 # -- simplicial router ------------------------------------------------------
 
-class InvalidComplex(KholoError):
+class InvalidComplex(InputError):
     """Input data does not describe a valid simplicial complex."""
 
 
@@ -95,21 +106,23 @@ class InvalidSubcomplex(InvalidComplex):
     """Marked faces violate the subcomplex requirements."""
 
 
-class InvalidEndpoints(KholoError):
+class InvalidEndpoints(InputError):
     """Routing endpoints are not vertices of the complex interior to tops."""
 
 
 class Disconnected(KholoError):
     """No facet path connects the endpoint simplices."""
 
+    exit_code = 1
 
-class InvalidPath(KholoError):
+
+class InvalidPath(InputError):
     """A piecewise-linear path leaves the complex it claims to live in."""
 
 
 # -- parsing ----------------------------------------------------------------
 
-class ExprSyntaxError(KholoError):
+class ExprSyntaxError(InputError):
     """Malformed expression text; carries the offending position."""
 
     def __init__(self, message, line=1, column=1):

@@ -1,20 +1,27 @@
 """Structured report documents.
 
-Every CLI subcommand emits one JSON document with a ``schema_version`` field;
-the helpers here convert between report dataclasses and plain dicts whose
-field order is fixed, so serialized output is stable and diff-friendly and
-round-trips losslessly.
+Every CLI subcommand emits one JSON document with a ``schema_version`` field.
+One field-driven codec converts every report dataclass: ``report_to_doc``
+walks the fields in declaration order, so serialized output is stable and
+diff-friendly, and ``report_from_doc`` reads the fields' type hints to
+rebuild the report losslessly.  A ``SparsePoly`` becomes a poly document, a
+``GaussianRational`` or ``Fraction`` its canonical string, a tuple or list a
+list.
+
+The simplicial complex document is the ``route`` input format rather than a
+report, so it has its own hand-written pair.
 """
 
 import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from typing import get_args, get_origin, get_type_hints
 
-from kholo.branches import BranchReport, FiberSample
-from kholo.cartan import CartanReport, RestrictionCheck
-from kholo.eliminate import EliminationReport
+from kholo.errors import InvalidComplex
 from kholo.exprio import format_gaussian, parse_gaussian, parse_poly, print_poly
 from kholo.polynomials import SparsePoly, VarSpace
-from kholo.simplicial import PLPath, SimplicialComplex, Subcomplex
+from kholo.rationals import GaussianRational
+from kholo.simplicial import SimplicialComplex, Subcomplex
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "kholo"
@@ -36,160 +43,54 @@ def dumps(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-# -- scalars and polynomials ----------------------------------------------------
-
-def fraction_to_doc(value):
-    return str(Fraction(value))
-
-
-def fraction_from_doc(text):
-    return Fraction(text)
-
-
-def gaussian_to_doc(value):
-    return format_gaussian(value)
-
-
-def gaussian_from_doc(text):
-    return parse_gaussian(text)
-
-
-def point_to_doc(point):
-    return [gaussian_to_doc(c) for c in point]
-
-
-def space_to_doc(space):
-    return {"names": list(space.names), "n": space.n}
-
-
-def space_from_doc(doc):
-    return VarSpace(doc["names"], doc["n"])
-
+# -- the codec --------------------------------------------------------------------
 
 def poly_to_doc(p):
-    return {"space": space_to_doc(p.space), "text": print_poly(p)}
+    return {"space": {"names": list(p.space.names), "n": p.space.n}, "text": print_poly(p)}
 
 
 def poly_from_doc(doc):
-    return parse_poly(doc["text"], space_from_doc(doc["space"]))
+    space = doc["space"]
+    return parse_poly(doc["text"], VarSpace(space["names"], space["n"]))
 
 
-# -- reports --------------------------------------------------------------------
-
-def cartan_report_to_doc(report):
-    return {
-        "real_part": poly_to_doc(report.real_part),
-        "candidate": poly_to_doc(report.candidate),
-        "residual": poly_to_doc(report.residual),
-        "g": poly_to_doc(report.g),
-        "pluriharmonic": report.pluriharmonic,
-        "reconstructed": report.reconstructed,
-    }
-
-
-def cartan_report_from_doc(doc):
-    return CartanReport(
-        real_part=poly_from_doc(doc["real_part"]),
-        candidate=poly_from_doc(doc["candidate"]),
-        residual=poly_from_doc(doc["residual"]),
-        g=poly_from_doc(doc["g"]),
-        pluriharmonic=doc["pluriharmonic"],
-        reconstructed=doc["reconstructed"],
-    )
+def report_to_doc(value):
+    """A report dataclass, or any of its field values, as plain JSON data."""
+    if is_dataclass(value):
+        return {f.name: report_to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, SparsePoly):
+        return poly_to_doc(value)
+    if isinstance(value, GaussianRational):
+        return format_gaussian(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [report_to_doc(v) for v in value]
+    return value
 
 
-def restriction_check_to_doc(check):
-    return {
-        "recover_lhs": poly_to_doc(check.recover_lhs),
-        "recover_rhs": poly_to_doc(check.recover_rhs),
-        "recover_ok": check.recover_ok,
-        "real_part_lhs": poly_to_doc(check.real_part_lhs),
-        "real_part_rhs": poly_to_doc(check.real_part_rhs),
-        "real_part_ok": check.real_part_ok,
-    }
-
-
-def restriction_check_from_doc(doc):
-    return RestrictionCheck(
-        recover_lhs=poly_from_doc(doc["recover_lhs"]),
-        recover_rhs=poly_from_doc(doc["recover_rhs"]),
-        recover_ok=doc["recover_ok"],
-        real_part_lhs=poly_from_doc(doc["real_part_lhs"]),
-        real_part_rhs=poly_from_doc(doc["real_part_rhs"]),
-        real_part_ok=doc["real_part_ok"],
-    )
-
-
-def elimination_report_to_doc(report):
-    return {
-        "basepoint_x": [str(v) for v in report.basepoint_x],
-        "basepoint_y": [str(v) for v in report.basepoint_y],
-        "q1": poly_to_doc(report.q1),
-        "q2": poly_to_doc(report.q2),
-        "annihilator": poly_to_doc(report.annihilator),
-        "degenerate": report.degenerate,
-    }
-
-
-def elimination_report_from_doc(doc):
-    return EliminationReport(
-        basepoint_x=tuple(int(v) for v in doc["basepoint_x"]),
-        basepoint_y=tuple(int(v) for v in doc["basepoint_y"]),
-        q1=poly_from_doc(doc["q1"]),
-        q2=poly_from_doc(doc["q2"]),
-        annihilator=poly_from_doc(doc["annihilator"]),
-        degenerate=doc["degenerate"],
-    )
-
-
-def branch_report_to_doc(report):
-    return {
-        "p": poly_to_doc(report.p),
-        "discriminant": poly_to_doc(report.discriminant),
-        "samples": [
-            {
-                "point": point_to_doc(s.point),
-                "on_locus": s.on_locus,
-                "fiber_count": s.fiber_count,
-            }
-            for s in report.samples
-        ],
-        "covering_degree": report.covering_degree,
-    }
-
-
-def branch_report_from_doc(doc):
-    return BranchReport(
-        p=poly_from_doc(doc["p"]),
-        discriminant=poly_from_doc(doc["discriminant"]),
-        samples=[
-            FiberSample(
-                point=tuple(gaussian_from_doc(c) for c in s["point"]),
-                on_locus=s["on_locus"],
-                fiber_count=s["fiber_count"],
-            )
-            for s in doc["samples"]
-        ],
-        covering_degree=doc["covering_degree"],
-    )
-
-
-def path_to_doc(path):
-    return {
-        "waypoints": [[str(c) for c in point] for point in path.waypoints],
-        "tags": list(path.tags),
-    }
-
-
-def path_from_doc(doc):
-    return PLPath(
-        waypoints=tuple(tuple(Fraction(c) for c in point)
-                        for point in doc["waypoints"]),
-        tags=tuple(doc["tags"]),
-    )
+def report_from_doc(cls, doc):
+    """Inverse of :func:`report_to_doc` for a report class or a field type hint."""
+    origin = get_origin(cls)
+    if origin in (tuple, list):
+        item = get_args(cls)[0]
+        return origin(report_from_doc(item, d) for d in doc)
+    if is_dataclass(cls):
+        hints = get_type_hints(cls)
+        return cls(**{f.name: report_from_doc(hints[f.name], doc[f.name]) for f in fields(cls)})
+    if cls is SparsePoly:
+        return poly_from_doc(doc)
+    if cls is GaussianRational:
+        return parse_gaussian(doc)
+    if cls is Fraction:
+        return Fraction(doc)
+    return doc
 
 
 # -- simplicial input documents ---------------------------------------------------
+
+_COMPLEX_KEYS = ("ambient_dim", "vertices", "top", "marked", "endpoints")
+
 
 def complex_to_doc(complex_, sub):
     return {
@@ -201,12 +102,42 @@ def complex_to_doc(complex_, sub):
     }
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _index_lists(doc, key):
+    rows = doc[key]
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and all(map(_is_int, r)) for r in rows)):
+        raise InvalidComplex(f"{key!r} must be a list of lists of vertex indices")
+    return [tuple(r) for r in rows]
+
+
+def _coordinate(value):
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidComplex(f"vertex coordinate {value!r} is not a rational number") from None
+
+
 def complex_from_doc(doc):
+    """Inverse of :func:`complex_to_doc`; a malformed document raises InvalidComplex."""
+    if not isinstance(doc, dict) or any(key not in doc for key in _COMPLEX_KEYS):
+        raise InvalidComplex("a complex document is an object with the keys "
+                             + ", ".join(_COMPLEX_KEYS))
+    if not _is_int(doc["ambient_dim"]):
+        raise InvalidComplex("'ambient_dim' must be an integer")
+    vertices = doc["vertices"]
+    if not (isinstance(vertices, list) and all(isinstance(v, list) for v in vertices)):
+        raise InvalidComplex("'vertices' must be a list of coordinate lists")
+    endpoints = doc["endpoints"]
+    if not (isinstance(endpoints, list) and len(endpoints) == 2):
+        raise InvalidComplex("'endpoints' must list exactly two vertices")
     complex_ = SimplicialComplex(
         dim=doc["ambient_dim"],
-        vertices=[[Fraction(c) for c in v] for v in doc["vertices"]],
-        top=[tuple(s) for s in doc["top"]],
+        vertices=[[_coordinate(c) for c in v] for v in vertices],
+        top=_index_lists(doc, "top"),
     )
-    start, end = doc["endpoints"]
-    sub = Subcomplex(complex_, [tuple(f) for f in doc["marked"]], start, end)
+    sub = Subcomplex(complex_, _index_lists(doc, "marked"), *endpoints)
     return complex_, sub

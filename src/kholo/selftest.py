@@ -3,7 +3,8 @@
 A fast, deterministic subset of the full test suite: field axioms, the
 reconstruction round trip, the elimination pipeline, discriminant goldens,
 fiber constancy, a routed grid, and parser round trips.  Each check prints
-one line; the runner returns a process exit code.
+one line; the runner returns a process exit code.  The random corpus
+generators below are also the test suite's (``tests/support.py``).
 """
 
 import random
@@ -12,45 +13,47 @@ from fractions import Fraction
 from kholo.branches import covering_check, discriminant, locus_membership
 from kholo.cartan import reconstruct_from_real_part, restrict_g_identity, verify_g_holomorphic
 from kholo.eliminate import AnnihilatorPair, eliminate_annihilator, verify_annihilator
+from kholo.errors import KholoError
 from kholo.exprio import parse_poly, print_poly
-from kholo.polynomials import SparsePoly, VarSpace, split_real_imag
+from kholo.polynomials import SparsePoly, VarSpace, rename_space, split_real_imag
 from kholo.rationals import GaussianRational
 from kholo.simplicial import SimplicialComplex, Subcomplex, route_path, verify_avoidance
 
 
-def random_gaussian(rng, bound=20):
-    def part():
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
-        return Fraction(num, den)
-    return GaussianRational(part(), part())
+def random_fraction(rng, bound=10):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_polynomial(space, rng, max_degree=4, max_terms=6, bound=20,
-                      zero_constant=False):
+def random_gq(rng, bound=10, real=False):
+    re = random_fraction(rng, bound)
+    im = Fraction(0) if real else random_fraction(rng, bound)
+    return GaussianRational(re, im)
+
+
+def random_poly(space, rng, max_degree=4, max_terms=6, bound=10, real=False,
+                zero_constant=False, allow_zero=False):
     width = len(space.names)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * width
-        budget = rng.randint(0 if not zero_constant else 1, max_degree)
-        for _ in range(budget):
+        for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(width)] += 1
         if zero_constant and sum(exps) == 0:
             exps[rng.randrange(width)] = 1
-        coeff = random_gaussian(rng, bound)
+        coeff = random_gq(rng, bound, real=real)
         if coeff:
             terms[tuple(exps)] = coeff
-    poly = SparsePoly.from_terms(space, terms)
-    if poly.is_zero():
-        return SparsePoly.variable(space, space.names[0])
-    return poly
+    p = SparsePoly.from_terms(space, terms)
+    if p.is_zero() and not allow_zero:
+        return SparsePoly.variable(space, space.names[rng.randrange(width)])
+    return p
 
 
 def _check_field_axioms(rng, trials=200):
     for _ in range(trials):
-        a = random_gaussian(rng)
-        b = random_gaussian(rng)
-        c = random_gaussian(rng)
+        a = random_gq(rng)
+        b = random_gq(rng)
+        c = random_gq(rng)
         if (a + b) + c != a + (b + c):
             return False
         if a * (b + c) != a * b + a * c:
@@ -64,7 +67,7 @@ def _check_field_axioms(rng, trials=200):
 def _check_round_trip(rng, trials=20):
     for _ in range(trials):
         n = rng.choice([1, 2])
-        f = random_polynomial(VarSpace.z(n), rng, zero_constant=True)
+        f = random_poly(VarSpace.z(n), rng, zero_constant=True)
         report = reconstruct_from_real_part(split_real_imag(f)[0])
         if not report.reconstructed or report.candidate != f:
             return False
@@ -74,7 +77,7 @@ def _check_round_trip(rng, trials=20):
 def _check_g(rng, trials=10):
     for _ in range(trials):
         n = rng.choice([1, 2])
-        f = random_polynomial(VarSpace.z(n), rng, max_degree=3)
+        f = random_poly(VarSpace.z(n), rng, max_degree=3)
         ok, _ = verify_g_holomorphic(f)
         if not ok or not restrict_g_identity(f).ok:
             return False
@@ -84,11 +87,10 @@ def _check_g(rng, trials=10):
 def _check_elimination(rng, trials=10):
     for _ in range(trials):
         n = rng.choice([1, 2])
-        f = random_polynomial(VarSpace.z(n), rng, max_degree=3, max_terms=4)
+        f = random_poly(VarSpace.z(n), rng, max_degree=3, max_terms=4)
         f1, f2 = split_real_imag(f)
         space = VarSpace.xyt(n)
         lift = {name: name for name in f1.space.names}
-        from kholo.polynomials import rename_space
         t = SparsePoly.variable(space, "t")
         pair = AnnihilatorPair(
             p1=t - rename_space(f1, space, lift),
@@ -121,7 +123,7 @@ def _check_fibers(rng, samples=5):
     disc = discriminant(p, "t")
     points = []
     while len(points) < samples:
-        z0 = random_gaussian(rng, bound=9)
+        z0 = random_gq(rng, bound=9)
         if not locus_membership(disc, (z0,)):
             points.append((z0,))
     report = covering_check(p, points)
@@ -143,11 +145,10 @@ def _check_router():
 def _check_parser(rng, trials=50, fuzz=200):
     for _ in range(trials):
         n = rng.choice([1, 2])
-        p = random_polynomial(VarSpace.xy(n), rng)
+        p = random_poly(VarSpace.xy(n), rng)
         if parse_poly(print_poly(p), p.space) != p:
             return False
     alphabet = "xyzwt0123456789+-*/^() i."
-    from kholo.errors import KholoError
     for _ in range(fuzz):
         text = "".join(rng.choice(alphabet)
                        for _ in range(rng.randint(1, 30)))

@@ -352,8 +352,8 @@ class Subcomplex:
 class PLPath:
     """Piecewise-linear path: exact rational waypoints with provenance tags."""
 
-    waypoints: tuple
-    tags: tuple
+    waypoints: tuple[tuple[Fraction, ...], ...]
+    tags: tuple[str, ...]
 
     def __post_init__(self):
         assert len(self.waypoints) == len(self.tags)

@@ -3,46 +3,16 @@
 The oracles here deliberately avoid the code paths they are used to check:
 the determinant oracle is cofactor expansion, never Bareiss; the adjacency
 oracle enumerates simplex pairs directly; the splitting oracle compares
-evaluations instead of expansions.
+evaluations instead of expansions.  The corpus generators are the ones
+``kholo selftest`` draws from, re-exported here.
 """
 
 import random
-from fractions import Fraction
 
-from kholo.polynomials import SparsePoly, VarSpace
+from kholo.polynomials import SparsePoly
 from kholo.rationals import GaussianRational
+from kholo.selftest import random_fraction, random_gq, random_poly  # noqa: F401
 from kholo.simplicial import SimplicialComplex
-
-
-# -- generators ----------------------------------------------------------------
-
-def random_fraction(rng, bound=10):
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def random_gq(rng, bound=10, real=False):
-    re = random_fraction(rng, bound)
-    im = Fraction(0) if real else random_fraction(rng, bound)
-    return GaussianRational(re, im)
-
-
-def random_poly(space, rng, max_degree=4, max_terms=6, bound=10, real=False,
-                zero_constant=False, allow_zero=False):
-    width = len(space.names)
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * width
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(width)] += 1
-        if zero_constant and sum(exps) == 0:
-            exps[rng.randrange(width)] = 1
-        coeff = random_gq(rng, bound, real=real)
-        if coeff:
-            terms[tuple(exps)] = coeff
-    p = SparsePoly.from_terms(space, terms)
-    if p.is_zero() and not allow_zero:
-        return SparsePoly.variable(space, space.names[rng.randrange(width)])
-    return p
 
 
 def assert_canonical_gq(c):

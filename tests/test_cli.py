@@ -128,3 +128,20 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "3")
     assert code == 0
     assert out.count("ok") == 8
+
+
+@pytest.mark.parametrize("payload", [
+    {"ambient_dim": 2},
+    [{"ambient_dim": 2}],
+    {"ambient_dim": 2, "vertices": [["a", "0"], ["1", "0"], ["0", "1"]],
+     "top": [[0, 1, 2]], "marked": [], "endpoints": [0, 1]},
+    {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "top": [[0, 1, 2]], "marked": [], "endpoints": [0]},
+], ids=["no-vertices", "top-level-list", "bad-coordinate", "one-endpoint"])
+def test_route_malformed_document_is_input_error(tmp_path, capsys, payload):
+    doc_path = tmp_path / "malformed.json"
+    doc_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "route", str(doc_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -5,13 +5,18 @@ import json
 from support import random_poly, seeded
 
 from kholo import reports
-from kholo.branches import covering_check
-from kholo.cartan import reconstruct_from_real_part, restrict_g_identity
-from kholo.eliminate import AnnihilatorPair, eliminate_annihilator
+from kholo.branches import BranchReport, covering_check
+from kholo.cartan import (
+    CartanReport,
+    RestrictionCheck,
+    reconstruct_from_real_part,
+    restrict_g_identity,
+)
+from kholo.eliminate import AnnihilatorPair, EliminationReport, eliminate_annihilator
 from kholo.exprio import parse_poly
 from kholo.polynomials import VarSpace
 from kholo.rationals import GaussianRational
-from kholo.simplicial import Subcomplex, route_path
+from kholo.simplicial import PLPath, Subcomplex, route_path
 from support import grid_complex
 
 
@@ -25,8 +30,8 @@ def test_poly_round_trip_random():
 
 def test_cartan_report_round_trip():
     report = reconstruct_from_real_part(parse_poly("x^2 - y^2", VarSpace.xy(1)))
-    doc = reports.cartan_report_to_doc(report)
-    back = reports.cartan_report_from_doc(json.loads(json.dumps(doc)))
+    doc = reports.report_to_doc(report)
+    back = reports.report_from_doc(CartanReport, json.loads(json.dumps(doc)))
     assert back.candidate == report.candidate
     assert back.residual == report.residual
     assert back.g == report.g
@@ -36,8 +41,8 @@ def test_cartan_report_round_trip():
 
 def test_restriction_check_round_trip():
     check = restrict_g_identity(parse_poly("z1^2 + 1", VarSpace.z(1)))
-    doc = reports.restriction_check_to_doc(check)
-    back = reports.restriction_check_from_doc(json.loads(json.dumps(doc)))
+    doc = reports.report_to_doc(check)
+    back = reports.report_from_doc(RestrictionCheck, json.loads(json.dumps(doc)))
     assert back.recover_lhs == check.recover_lhs
     assert back.ok == check.ok
 
@@ -47,8 +52,8 @@ def test_elimination_report_round_trip():
     report = eliminate_annihilator(AnnihilatorPair(
         p1=parse_poly("t - x^2 + y^2", space),
         p2=parse_poly("t - 2*x*y", space), n=1))
-    doc = reports.elimination_report_to_doc(report)
-    back = reports.elimination_report_from_doc(json.loads(json.dumps(doc)))
+    doc = reports.report_to_doc(report)
+    back = reports.report_from_doc(EliminationReport, json.loads(json.dumps(doc)))
     assert back.annihilator == report.annihilator
     assert back.q1 == report.q1 and back.q2 == report.q2
     assert back.basepoint_x == report.basepoint_x
@@ -58,8 +63,8 @@ def test_elimination_report_round_trip():
 def test_branch_report_round_trip():
     report = covering_check(parse_poly("t^2 - z1", VarSpace.zt(1)),
                             [(GaussianRational(1),), (GaussianRational(0, 1),)])
-    doc = reports.branch_report_to_doc(report)
-    back = reports.branch_report_from_doc(json.loads(json.dumps(doc)))
+    doc = reports.report_to_doc(report)
+    back = reports.report_from_doc(BranchReport, json.loads(json.dumps(doc)))
     assert back.p == report.p
     assert back.discriminant == report.discriminant
     assert back.covering_degree == report.covering_degree
@@ -70,8 +75,8 @@ def test_path_and_complex_round_trip():
     c = grid_complex(1, 2)
     sub = Subcomplex(c, [(1,)], start=0, end=5)
     path = route_path(c, sub)
-    doc = reports.path_to_doc(path)
-    back = reports.path_from_doc(json.loads(json.dumps(doc)))
+    doc = reports.report_to_doc(path)
+    back = reports.report_from_doc(PLPath, json.loads(json.dumps(doc)))
     assert back.waypoints == path.waypoints
     assert back.tags == path.tags
 
