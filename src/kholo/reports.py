@@ -102,14 +102,10 @@ def complex_to_doc(complex_, sub):
     }
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _index_lists(doc, key):
     rows = doc[key]
     if not (isinstance(rows, list)
-            and all(isinstance(r, list) and all(map(_is_int, r)) for r in rows)):
+            and all(isinstance(r, list) and all(isinstance(i, int) for i in r) for r in rows)):
         raise InvalidComplex(f"{key!r} must be a list of lists of vertex indices")
     return [tuple(r) for r in rows]
 
@@ -126,7 +122,7 @@ def complex_from_doc(doc):
     if not isinstance(doc, dict) or any(key not in doc for key in _COMPLEX_KEYS):
         raise InvalidComplex("a complex document is an object with the keys "
                              + ", ".join(_COMPLEX_KEYS))
-    if not _is_int(doc["ambient_dim"]):
+    if not isinstance(doc["ambient_dim"], int):
         raise InvalidComplex("'ambient_dim' must be an integer")
     vertices = doc["vertices"]
     if not (isinstance(vertices, list) and all(isinstance(v, list) for v in vertices)):

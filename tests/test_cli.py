@@ -137,7 +137,9 @@ def test_selftest(capsys):
      "top": [[0, 1, 2]], "marked": [], "endpoints": [0, 1]},
     {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
      "top": [[0, 1, 2]], "marked": [], "endpoints": [0]},
-], ids=["no-vertices", "top-level-list", "bad-coordinate", "one-endpoint"])
+    {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "top": [[0, 1, "2"]], "marked": [], "endpoints": [0, 1]},
+], ids=["no-vertices", "top-level-list", "bad-coordinate", "one-endpoint", "index-not-integer"])
 def test_route_malformed_document_is_input_error(tmp_path, capsys, payload):
     doc_path = tmp_path / "malformed.json"
     doc_path.write_text(json.dumps(payload))
