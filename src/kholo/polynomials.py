@@ -15,7 +15,6 @@ lexicographically with respect to the space's fixed variable order.
 import re as _re
 from fractions import Fraction
 
-from kholo._coeff import GaussianRational, terms_add, terms_mul, terms_scale, terms_sub
 from kholo.errors import (
     DegreeOverflow,
     IncompleteAssignment,
@@ -27,7 +26,17 @@ from kholo.errors import (
     SpaceMismatch,
     UnknownVariable,
 )
-from kholo.rationals import GQ_HALF, GQ_I, GQ_MINUS_I, as_gaussian
+from kholo.rationals import (
+    GQ_HALF,
+    GQ_I,
+    GQ_MINUS_I,
+    GaussianRational,
+    as_gaussian,
+    terms_add,
+    terms_mul,
+    terms_scale,
+    terms_sub,
+)
 
 MAX_TOTAL_DEGREE = 10**6
 
@@ -480,9 +489,9 @@ def real_imag_coefficient_parts(p):
     re_terms = {}
     im_terms = {}
     for exps, coeff in p._terms.items():
-        if coeff.an:
+        if coeff.x:
             re_terms[exps] = GaussianRational(coeff.re)
-        if coeff.bn:
+        if coeff.y:
             im_terms[exps] = GaussianRational(coeff.im)
     return SparsePoly(p.space, re_terms), SparsePoly(p.space, im_terms)
 

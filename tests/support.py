@@ -16,11 +16,10 @@ from kholo.simplicial import SimplicialComplex
 
 
 def assert_canonical_gq(c):
+    """(x + y*i)/d with d > 0 and gcd(x, y, d) == 1, so zero is (0, 0, 1)."""
     from math import gcd
-    an, ad, bn, bd = c.raw
-    assert ad > 0 and bd > 0
-    assert gcd(an, ad) == 1 or (an == 0 and ad == 1)
-    assert gcd(bn, bd) == 1 or (bn == 0 and bd == 1)
+    assert c.d > 0
+    assert gcd(c.x, c.y, c.d) == 1
 
 
 # -- determinant oracle ----------------------------------------------------------

@@ -6,7 +6,15 @@ import pytest
 from support import assert_canonical_gq, random_gq, seeded
 
 from kholo.errors import DivisionByZero
-from kholo.rationals import GQ_I, GQ_ONE, GQ_ZERO, GaussianRational
+from kholo.rationals import (
+    GQ_I,
+    GQ_ONE,
+    GQ_ZERO,
+    GaussianRational,
+    terms_add,
+    terms_mul,
+    terms_sub,
+)
 
 
 def gq(re, im=0):
@@ -106,3 +114,95 @@ def test_hash_consistency():
     assert hash(gq(1, 2)) == hash(GaussianRational(1, 2))
     values = {gq(1, 2), GaussianRational(1, 2), gq(2, 1)}
     assert len(values) == 2
+
+
+# -- properties against an independent oracle: pairs of Fractions (re, im) ------
+
+def _pair(c):
+    return c.re, c.im
+
+
+def _oracle_mul(p, q):
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c
+
+
+def _oracle_div(p, q):
+    (a, b), (c, d) = p, q
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def test_scalar_ops_match_fraction_pair_oracle():
+    rng = seeded(71)
+    for _ in range(300):
+        a, b = random_gq(rng), random_gq(rng)
+        pa, pb = _pair(a), _pair(b)
+        assert _pair(a + b) == (pa[0] + pb[0], pa[1] + pb[1])
+        assert _pair(a - b) == (pa[0] - pb[0], pa[1] - pb[1])
+        assert _pair(a * b) == _oracle_mul(pa, pb)
+        assert _pair(-a) == (-pa[0], -pa[1])
+        assert _pair(a.conjugate()) == (pa[0], -pa[1])
+        if b:
+            assert _pair(a / b) == _oracle_div(pa, pb)
+
+
+def test_product_then_quotient_returns_the_same_value_and_hash():
+    rng = seeded(73)
+    for _ in range(300):
+        a, b = random_gq(rng), random_gq(rng)
+        if not b:
+            continue
+        back = (a * b) / b
+        assert back == a
+        assert hash(back) == hash(a)
+
+
+def _schoolbook(op, a, b):
+    """Term maps as {exps: (Fraction, Fraction)}, zero terms dropped."""
+    if op == "mul":
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                re, im = out.get(e, (0, 0))
+                pre, pim = _oracle_mul(ca, cb)
+                out[e] = (re + pre, im + pim)
+    else:
+        out = dict(a)
+        sign = 1 if op == "add" else -1
+        for e, (re, im) in b.items():
+            ore, oim = out.get(e, (0, 0))
+            out[e] = (ore + sign * re, oim + sign * im)
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def test_term_kernels_match_schoolbook_oracle():
+    rng = seeded(83)
+    kernels = {"add": terms_add, "sub": terms_sub, "mul": terms_mul}
+    for _ in range(50):
+        width = rng.randint(1, 4)
+
+        def term_map():
+            out = {}
+            for _ in range(rng.randint(1, 8)):
+                c = random_gq(rng)
+                if c:
+                    out[tuple(rng.randint(0, 3) for _ in range(width))] = c
+            return out
+
+        a, b = term_map(), term_map()
+        pa = {e: _pair(c) for e, c in a.items()}
+        pb = {e: _pair(c) for e, c in b.items()}
+        for op, kernel in kernels.items():
+            got = {e: _pair(c) for e, c in kernel(a, b).items()}
+            assert got == _schoolbook(op, pa, pb)
+
+
+def test_cancellation_drops_terms_in_both():
+    one = GaussianRational(1)
+    minus = GaussianRational(-1)
+    assert terms_add({(1,): one}, {(1,): minus}) == {}
+    assert terms_mul({(1,): one, (0,): one},
+                     {(1,): one, (0,): minus}) == {(2,): one,
+                                                   (0,): minus}
