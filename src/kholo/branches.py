@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from kholo.errors import (
     IncompleteAssignment,
     LeadingCoefficientVanishes,
+    NoSamplePoints,
     NonConvergence,
     PointOnLocus,
     ZeroDegree,
 )
 from kholo.eliminate import sylvester_resultant
+from kholo.exprio import format_gaussian
 from kholo.polynomials import SparsePoly, exact_divide, univariate_coefficients
 from kholo.rationals import GQ_ZERO, GaussianRational, as_gaussian
 
@@ -72,6 +74,11 @@ def _as_point(space, z0):
         raise IncompleteAssignment(
             f"point of arity {len(values)} for space {space}")
     return {name: as_gaussian(v) for name, v in zip(space.names, values)}
+
+
+def _spell_point(space, point):
+    """A point as the CLI reads it: comma-separated coordinates."""
+    return ",".join(format_gaussian(point[name]) for name in space.names)
 
 
 def locus_membership(d, z0):
@@ -181,11 +188,18 @@ def _cluster_count(points, tol):
 
 
 def _specialize(p, z0, name):
-    """Exact coefficients of P(z0, t) as a univariate list in t."""
+    """Exact coefficients of P(z0, t) as a univariate list in t.
+
+    Raises LeadingCoefficientVanishes when the leading t-coefficient dies at z0.
+    """
     coeffs = univariate_coefficients(p, name)
     base = p.space.drop(name)
     point = _as_point(base, z0)
-    return [c.eval(point) if not c.is_zero() else GQ_ZERO for c in coeffs]
+    exact = [c.eval(point) if not c.is_zero() else GQ_ZERO for c in coeffs]
+    if not exact or not exact[-1]:
+        raise LeadingCoefficientVanishes(
+            f"leading {name}-coefficient dies at {_spell_point(base, point)}")
+    return exact
 
 
 def fiber_count(p, z0, tol=DEFAULT_TOL, name="t", max_iter=DEFAULT_MAX_ITER):
@@ -195,8 +209,6 @@ def fiber_count(p, z0, tol=DEFAULT_TOL, name="t", max_iter=DEFAULT_MAX_ITER):
     found in floating point and clustered at distance tol.
     """
     exact = _specialize(p, z0, name)
-    if not exact or not exact[-1]:
-        raise LeadingCoefficientVanishes(f"leading t-coefficient dies at {z0}")
     roots = aberth_roots([_to_complex(c) for c in exact], max_iter=max_iter)
     return _cluster_count(roots, tol)
 
@@ -208,8 +220,6 @@ def distinct_root_count_exact(p, z0, name="t"):
     on the exact specialization.
     """
     exact = _specialize(p, z0, name)
-    if not exact or not exact[-1]:
-        raise LeadingCoefficientVanishes(f"leading t-coefficient dies at {z0}")
     d = len(exact) - 1
     deriv = [exact[k] * k for k in range(1, d + 1)]
     g = _univariate_gcd(exact, deriv)
@@ -255,7 +265,8 @@ def covering_check(p, path, tol=DEFAULT_TOL, name="t", max_iter=DEFAULT_MAX_ITER
     """Fiber counts along user-supplied sample points off the discriminant locus.
 
     Every point is first checked exactly against the locus (PointOnLocus names
-    the offender); the covering degree is recorded iff all counts agree.
+    the offender); the covering degree is recorded iff all counts agree.  An
+    empty path is an input error (NoSamplePoints), since it gives no verdict.
     """
     disc = discriminant(p, name)
     base = p.space.drop(name)
@@ -263,10 +274,13 @@ def covering_check(p, path, tol=DEFAULT_TOL, name="t", max_iter=DEFAULT_MAX_ITER
     for z0 in path:
         point = _as_point(base, z0)
         if locus_membership(disc, point):
-            raise PointOnLocus(f"sample {z0} lies on the discriminant locus")
+            raise PointOnLocus(
+                f"sample {_spell_point(base, point)} lies on the discriminant locus")
         count = fiber_count(p, point, tol=tol, name=name, max_iter=max_iter)
         key = tuple(point[nm] for nm in base.names)
         samples.append(FiberSample(point=key, on_locus=False, fiber_count=count))
+    if not samples:
+        raise NoSamplePoints("the covering check needs at least one sample point")
     counts = {s.fiber_count for s in samples}
     degree = counts.pop() if len(counts) == 1 else None
     return BranchReport(p=p, discriminant=disc, samples=samples,

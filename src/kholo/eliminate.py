@@ -24,6 +24,7 @@ from kholo.errors import (
     DegreeZeroBoth,
     NonRealCoefficients,
     SpaceMismatch,
+    ZeroDegree,
     ZeroInput,
 )
 from kholo.polynomials import (
@@ -41,7 +42,12 @@ from kholo.rationals import GQ_MINUS_I, GaussianRational
 
 @dataclass
 class AnnihilatorPair:
-    """Nonzero real annihilators of f1 and f2, both in (x, y, t) variables."""
+    """Nonzero real annihilators of f1 and f2, both in (x, y, t) variables.
+
+    Each must have positive degree in t: a nonzero P(x, y) cannot vanish at
+    (x, y, f_k(x, y)) on an open set, so an annihilator free of t is no
+    annihilator.
+    """
 
     p1: SparsePoly
     p2: SparsePoly
@@ -56,6 +62,9 @@ class AnnihilatorPair:
                 raise ZeroInput(f"{label} is the zero polynomial")
             if not p.has_real_coefficients():
                 raise NonRealCoefficients(f"{label} must have real coefficients")
+            if p.degree_in("t") <= 0:
+                raise ZeroDegree(f"{label} does not use 't'; an annihilator needs "
+                                 "positive degree in t")
 
 
 @dataclass

@@ -81,7 +81,7 @@ class BasepointNotFound(InputError):
 # -- branches ---------------------------------------------------------------
 
 class ZeroDegree(InputError):
-    """Discriminant requires positive degree in the fiber variable."""
+    """A discriminant or an annihilator needs positive degree in the fiber variable."""
 
 
 class LeadingCoefficientVanishes(InputError):
@@ -94,6 +94,10 @@ class NonConvergence(KholoError):
 
 class PointOnLocus(InputError):
     """A sample point lies on the discriminant locus."""
+
+
+class NoSamplePoints(InputError):
+    """A covering check was given no sample points."""
 
 
 # -- simplicial router ------------------------------------------------------

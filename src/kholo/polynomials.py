@@ -128,6 +128,10 @@ class VarSpace:
     def __repr__(self):
         return f"VarSpace({list(self.names)}, n={self.n})"
 
+    def __str__(self):
+        """The variable names as input spells them, e.g. ``(z1, t)``."""
+        return f"({', '.join(self.names)})"
+
     def drop(self, name):
         """The same space without one variable."""
         k = self.index(name)

@@ -16,6 +16,7 @@ from math import gcd
 
 from kholo.errors import DivisionByZero
 
+# the kernel that runs, for reports and benchmarks; this module is the only one
 COEFF_BACKEND = "python"
 
 Rational = Fraction
@@ -62,8 +63,6 @@ class GaussianRational:
     def __new__(cls, re=0, im=0):
         an, ad = _ratio(re)
         bn, bd = _ratio(im)
-        if ad == bd:
-            return _lowest(an, bn, ad)
         return _lowest(an * bd, bn * ad, ad * bd)
 
     @property

@@ -1,5 +1,7 @@
 """Discriminants, locus membership, and numeric fiber counting."""
 
+from fractions import Fraction
+
 import pytest
 from support import random_gq, random_poly, seeded
 
@@ -15,6 +17,7 @@ from kholo.branches import (
 from kholo.eliminate import sylvester_resultant
 from kholo.errors import (
     LeadingCoefficientVanishes,
+    NoSamplePoints,
     NonConvergence,
     PointOnLocus,
     ZeroDegree,
@@ -188,6 +191,20 @@ def test_covering_rejects_locus_point():
     with pytest.raises(PointOnLocus):
         covering_check(zt("t^2 - z1"),
                        [(GaussianRational(1),), (GaussianRational(0),)])
+
+
+def test_covering_errors_spell_points_as_input():
+    # coordinates as the CLI reads them, not Python reprs
+    with pytest.raises(PointOnLocus, match=r"^sample 2,\(1\+i\) lies"):
+        covering_check(zt("t^2 - z1*z2 + 2 + 2*i", n=2),
+                       [(GaussianRational(2), GaussianRational(1, 1))])
+    with pytest.raises(LeadingCoefficientVanishes, match=r"dies at \(-1/2\*i\)$"):
+        fiber_count(zt("(2*z1 + i)*t^2 - 1"), (GaussianRational(0, Fraction(-1, 2)),))
+
+
+def test_covering_rejects_empty_path():
+    with pytest.raises(NoSamplePoints):
+        covering_check(zt("t^2 - z1"), [])
 
 
 def test_off_locus_constancy_family():

@@ -64,7 +64,9 @@ CASES = [
     ("eliminate-non-real", ["eliminate", "-n", "1", "i*t", "t"], None),
     ("eliminate-zero", ["eliminate", "-n", "1", "0", "t"], None),
     ("eliminate-no-t", ["eliminate", "-n", "1", "x", "y"], None),
-    ("eliminate-no-basepoint", ["eliminate", "-n", "1", "--bound", "0", "y", "t"], None),
+    ("eliminate-p1-no-t", ["eliminate", "-n", "1", "x", "t - 2*x*y"], None),
+    ("eliminate-p2-no-t", ["eliminate", "-n", "1", "t - x^2 + y^2", "y"], None),
+    ("eliminate-no-basepoint", ["eliminate", "-n", "1", "--bound", "0", "y*t", "t"], None),
     ("eliminate-unknown-variable", ["eliminate", "-n", "1", "t - z1", "t"], None),
     # discriminant
     ("discriminant-doc", ["discriminant", "-n", "1", "t^2 - z1"], None),

@@ -15,7 +15,7 @@ from kholo.eliminate import (
     sylvester_resultant,
     verify_annihilator,
 )
-from kholo.errors import BasepointNotFound, DegreeZeroBoth, ZeroInput
+from kholo.errors import BasepointNotFound, DegreeZeroBoth, ZeroDegree, ZeroInput
 from kholo.exprio import parse_poly
 from kholo.polynomials import (
     SparsePoly,
@@ -296,3 +296,11 @@ def test_annihilator_pair_validation():
         AnnihilatorPair(p1=SparsePoly.zero(VarSpace.xyt(1)), p2=xyt("t"), n=1)
     with pytest.raises(ValueError):
         AnnihilatorPair(p1=xyt("i*t"), p2=xyt("t"), n=1)
+
+
+def test_annihilator_pair_needs_t_in_both():
+    # a nonzero P(x, y) free of t annihilates nothing
+    with pytest.raises(ZeroDegree, match=r"^p2 does not use 't'"):
+        AnnihilatorPair(p1=xyt("t - x^2 + y^2"), p2=xyt("y"), n=1)
+    with pytest.raises(ZeroDegree, match=r"^p1 does not use 't'"):
+        AnnihilatorPair(p1=xyt("x"), p2=xyt("t - 2*x*y"), n=1)
