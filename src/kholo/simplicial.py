@@ -10,11 +10,21 @@ All coordinates are Fractions and every geometric predicate is exact: segment
 against face intersection is a small linear feasibility problem solved by
 Gaussian elimination, with at most one free parameter (the faces of a valid
 complex are affinely independent).
+
+Validation and point location run on integers: the vertices are scaled once
+by the lcm of all their coordinate denominators, which keeps every
+orientation sign.  The pairwise validator tests only the pairs of triangles
+whose closed bounding boxes meet, found by a sort-and-sweep; it is still run
+only in the plane.  Point location and the segment-face tests look their
+candidates up in a bounding-box index: a simplex or face whose closed box
+misses the point, or the segment's box, cannot meet it.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor, lcm
 
 from kholo.errors import (
     Disconnected,
@@ -27,6 +37,66 @@ from kholo.errors import (
 
 def _frac_point(coords):
     return tuple(Fraction(c) for c in coords)
+
+
+def _box(points):
+    """Closed axis-aligned bounding box as (lows, highs)."""
+    columns = tuple(zip(*points))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def _boxes_meet(box1, box2):
+    (lo1, hi1), (lo2, hi2) = box1, box2
+    for a, b, c, d in zip(lo1, hi1, lo2, hi2):
+        if a > d or c > b:
+            return False
+    return True
+
+
+def _meeting_pairs(boxes):
+    """Index pairs (i, j), i < j, of closed boxes in the plane that meet, sorted.
+
+    Sort-and-sweep along x: a box stays active while its right end is not
+    left of the left end of the box being swept in.
+    """
+    active = []
+    pairs = []
+    for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0][0]):
+        (x0, y0), (x1, y1) = boxes[k]
+        active = [box for box in active if box[0] >= x0]
+        pairs.extend((min(m, k), max(m, k)) for _, low, high, m in active
+                     if low <= y1 and y0 <= high)
+        active.append((x1, y0, y1, k))
+    pairs.sort()
+    return pairs
+
+
+class _BoxIndex:
+    """Closed boxes sorted by their low end on the first axis.
+
+    A box that meets a query box has its low end within ``reach`` (the
+    widest box's extent) below the query's low end, so one bisected range
+    holds every candidate.
+    """
+
+    def __init__(self, boxes):
+        self.boxes = boxes
+        self.order = sorted(range(len(boxes)), key=lambda k: boxes[k][0][0])
+        self.lows = [boxes[k][0][0] for k in self.order]
+        self.reach = max((hi[0] - lo[0] for lo, hi in boxes), default=0)
+
+    def meeting(self, box):
+        """Ascending indices of the boxes that meet ``box``."""
+        start = bisect_left(self.lows, box[0][0] - self.reach)
+        stop = bisect_right(self.lows, box[1][0])
+        return sorted(k for k in self.order[start:stop]
+                      if _boxes_meet(self.boxes[k], box))
+
+
+def _orient(a, b, c):
+    """Twice the signed area of the triangle abc: ``_signed_volume`` in the
+    plane, written out for the validator's inner loop."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 # -- exact linear algebra -----------------------------------------------------
@@ -82,27 +152,23 @@ def _solve_affine(matrix, rhs):
 
 
 def _determinant(matrix):
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination:
+    every division is by the previous pivot and is exact."""
     m = [list(row) for row in matrix]
     size = len(m)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for k in range(size):
-        pivot_row = None
-        for r in range(k, size):
-            if m[r][k] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(k, size) if m[r][k] != 0), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
+            sign = -sign
         for r in range(k + 1, size):
-            if m[r][k] != 0:
-                factor = m[r][k] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[k])]
-    return det
+            for c in range(k + 1, size):
+                m[r][c] = (m[r][c] * m[k][k] - m[r][k] * m[k][c]) // prev
+        prev = m[k][k]
+    return sign * prev
 
 
 class _Interval:
@@ -143,19 +209,36 @@ class _Interval:
         return False
 
 
+def _integer_points(points):
+    """Scale rational points by the lcm of all their coordinate denominators.
+
+    A positive scale keeps every orientation sign.  Returns (scale, points).
+    """
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p)
+                   for p in points]
+
+
+def _signed_volume(points):
+    """n! times the signed volume of the simplex on n+1 integer points in R^n."""
+    base, *others = points
+    return _determinant([[p[r] - base[r] for r in range(len(base))]
+                         for p in others])
+
+
 def _point_in_simplex(point, vertices):
-    """Exact closed-simplex membership via barycentric coordinates."""
-    ncols = len(vertices)
-    matrix = [[v[r] for v in vertices] for r in range(len(point))]
-    matrix.append([Fraction(1)] * ncols)
-    rhs = list(point) + [Fraction(1)]
-    solved = _solve_affine(matrix, rhs)
-    if solved is None:
-        return False
-    coords, direction = solved
-    if direction is not None:
+    """Exact membership of a point of R^n in the closed simplex on n+1 vertices.
+
+    The barycentric coordinates are ratios of signed volumes (Cramer's rule),
+    so the point is inside iff none of them has the opposite sign of the
+    simplex's volume.  Runs on integers over one denominator.
+    """
+    _, (p, *pts) = _integer_points((point, *vertices))
+    volume = _signed_volume(pts)
+    if volume == 0:
         raise InvalidComplex("degenerate simplex in membership test")
-    return all(c >= 0 for c in coords)
+    return all(_signed_volume(pts[:j] + [p] + pts[j + 1:]) * volume >= 0
+               for j in range(len(pts)))
 
 
 def _segment_meets_face(p, q, face_coords, exclude_p=False, exclude_q=False):
@@ -192,8 +275,6 @@ def _segment_meets_face(p, q, face_coords, exclude_p=False, exclude_q=False):
         total0 += m0
         total1 += m1
     box.require(1 - total0, -total1)                   # sum mu_i <= 1
-    if direction is None:
-        return box.feasible() and not box.empty
     return box.feasible()
 
 
@@ -204,8 +285,10 @@ class SimplicialComplex:
 
     ``top`` lists the n-simplices as (n+1)-tuples of vertex indices.  Lower
     faces are derived.  Construction validates the structure, the affine
-    non-degeneracy of every top simplex, and (in the plane) that any two top
-    simplices meet exactly in their shared face.
+    non-degeneracy of every top simplex, and (in the plane only) that any two
+    top simplices meet exactly in their shared face.  That pairwise test runs
+    on the vertices scaled to integers over one denominator, and only on
+    pairs of triangles whose closed bounding boxes meet.
     """
 
     def __init__(self, dim, vertices, top):
@@ -213,6 +296,11 @@ class SimplicialComplex:
         self.vertices = tuple(_frac_point(v) for v in vertices)
         self.top = tuple(tuple(s) for s in top)
         self._validate()
+        self._index = _BoxIndex(self._boxes)
+        self._stars = {}
+        for simplex in self.top:
+            for idx in simplex:
+                self._stars.setdefault(idx, []).append(frozenset(simplex))
 
     def _validate(self):
         n = self.dim
@@ -223,6 +311,7 @@ class SimplicialComplex:
                 raise InvalidComplex(f"vertex {v} has arity {len(v)}, expected {n}")
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidComplex("two vertices share the same coordinates")
+        self._scale, self._lattice = _integer_points(self.vertices)
         seen = set()
         for simplex in self.top:
             if len(simplex) != n + 1:
@@ -237,52 +326,55 @@ class SimplicialComplex:
                 raise InvalidComplex(f"duplicate top simplex {simplex}")
             seen.add(key)
             self._check_nondegenerate(simplex)
+        self._boxes = tuple(self._lattice_box(simplex) for simplex in self.top)
         if n == 2:
             self._check_pairwise_plane()
 
     def _check_nondegenerate(self, simplex):
-        pts = [self.vertices[i] for i in simplex]
-        base = pts[0]
-        edges = [[p[r] - base[r] for r in range(self.dim)] for p in pts[1:]]
-        if _determinant(edges) == 0:
+        if _signed_volume([self._lattice[i] for i in simplex]) == 0:
             raise InvalidComplex(f"top simplex {simplex} is affinely degenerate")
 
     def _check_pairwise_plane(self):
         # triangles must meet exactly in their shared face: no foreign vertex
-        # inside a closed triangle, no proper edge crossing, no collinear
-        # overlap beyond a shared edge
-        def orient(a, b, c):
-            return ((b[0] - a[0]) * (c[1] - a[1])
-                    - (b[1] - a[1]) * (c[0] - a[0]))
-
-        for s1, s2 in combinations(self.top, 2):
-            shared = set(s1) & set(s2)
-            for tri, other in ((s1, s2), (s2, s1)):
-                pts = [self.vertices[i] for i in tri]
+        # inside a closed triangle and no proper edge crossing.  Triangles
+        # whose closed boxes are disjoint cannot break either rule, and the
+        # candidates are checked in the order of combinations(self.top, 2),
+        # so the first violation reported is the all-pairs one.
+        #
+        # A collinear overlap of positive length needs no test of its own.
+        # Each end of the overlap is an endpoint of one edge lying on the
+        # other edge.  If that vertex is not shared, it lies in the other
+        # closed triangle and the vertex test has already raised.  If both
+        # ends are shared vertices, the two edges are the same index pair,
+        # which is skipped.
+        pts = self._lattice
+        areas = [_orient(*(pts[k] for k in tri)) for tri in self.top]
+        for i, j in _meeting_pairs(self._boxes):
+            s1, s2 = self.top[i], self.top[j]
+            for tri, area, other in ((s1, areas[i], s2), (s2, areas[j], s1)):
+                a, b, c = (pts[k] for k in tri)
                 for v in other:
-                    if v not in shared and _point_in_simplex(self.vertices[v], pts):
+                    if v in tri:
+                        continue
+                    p = pts[v]
+                    # p is in the closed triangle iff no barycentric
+                    # coordinate has the opposite sign of the area
+                    if (_orient(p, b, c) * area >= 0
+                            and _orient(a, p, c) * area >= 0
+                            and _orient(a, b, p) * area >= 0):
                         raise InvalidComplex(
                             f"vertex {v} lies inside top simplex {tri}")
             for e1 in combinations(s1, 2):
                 for e2 in combinations(s2, 2):
-                    if set(e1) == set(e2):
+                    # edges with a common vertex cannot cross improperly
+                    if e1[0] in e2 or e1[1] in e2:
                         continue
-                    a, b = (self.vertices[e1[0]], self.vertices[e1[1]])
-                    c, d = (self.vertices[e2[0]], self.vertices[e2[1]])
-                    o1, o2 = orient(a, b, c), orient(a, b, d)
-                    o3, o4 = orient(c, d, a), orient(c, d, b)
-                    if o1 * o2 < 0 and o3 * o4 < 0:
+                    a, b = pts[e1[0]], pts[e1[1]]
+                    c, d = pts[e2[0]], pts[e2[1]]
+                    if (_orient(a, b, c) * _orient(a, b, d) < 0
+                            and _orient(c, d, a) * _orient(c, d, b) < 0):
                         raise InvalidComplex(
                             f"edges {e1} and {e2} cross improperly")
-                    if o1 == 0 and o2 == 0:
-                        axis = 0 if a[0] != b[0] else 1
-                        span = b[axis] - a[axis]
-                        tc = (c[axis] - a[axis]) / span
-                        td = (d[axis] - a[axis]) / span
-                        lo, hi = min(tc, td), max(tc, td)
-                        if min(Fraction(1), hi) > max(Fraction(0), lo):
-                            raise InvalidComplex(
-                                f"edges {e1} and {e2} overlap along a segment")
 
     # -- faces ---------------------------------------------------------------
 
@@ -298,18 +390,34 @@ class SimplicialComplex:
         return out
 
     def is_face(self, face):
-        face = tuple(sorted(face))
-        return any(set(face) <= set(simplex) for simplex in self.top)
+        face = set(face)
+        if not face:
+            return bool(self.top)
+        # only the tops around one of the face's vertices can contain it
+        return any(face <= simplex
+                   for simplex in self._stars.get(min(face), ()))
 
     def barycenter(self, face):
         pts = [self.vertices[i] for i in face]
         m = len(pts)
         return tuple(sum(p[r] for p in pts) / m for r in range(self.dim))
 
+    def _lattice_box(self, face):
+        return _box([self._lattice[i] for i in face])
+
+    def _query_box(self, points):
+        """Integer box that meets exactly the lattice boxes that the closed
+        box of the rational ``points`` meets (the ends are integers)."""
+        lows, highs = _box(points)
+        return (tuple(ceil(c * self._scale) for c in lows),
+                tuple(floor(c * self._scale) for c in highs))
+
     def contains_point(self, point):
         point = _frac_point(point)
-        return any(_point_in_simplex(point, [self.vertices[i] for i in simplex])
-                   for simplex in self.top)
+        # a top whose closed box misses the point cannot contain it
+        return any(
+            _point_in_simplex(point, [self.vertices[i] for i in self.top[k]])
+            for k in self._index.meeting(self._query_box([point])))
 
 
 class Subcomplex:
@@ -450,10 +558,13 @@ def verify_avoidance(path, complex_, sub):
     for point in path.waypoints:
         if not complex_.contains_point(point):
             raise InvalidPath(f"waypoint {point} lies outside the complex")
+    faces = _BoxIndex([complex_._lattice_box(face) for face in sub.marked])
     segments = path.segments()
     last = len(segments) - 1
     for idx, (p, q) in enumerate(segments):
-        for face in sub.marked:
+        # a face whose closed box misses the segment's cannot meet it
+        for k in faces.meeting(complex_._query_box((p, q))):
+            face = sub.marked[k]
             exclude_p = idx == 0 and face == (sub.start,)
             exclude_q = idx == last and face == (sub.end,)
             coords = [complex_.vertices[i] for i in face]
