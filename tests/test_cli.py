@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, documents, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -23,6 +24,17 @@ def test_reconstruct_document(capsys):
     assert doc["command"] == "reconstruct"
     assert doc["result"]["candidate"]["text"] == "z1^2"
     assert doc["result"]["reconstructed"] is True
+
+
+def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["kholo", "reconstruct", "-n", "1", "--format", "plain", "x"])
+    assert main() == 0
+    assert capsys.readouterr().out == "z1\n"
+    monkeypatch.setattr(sys, "argv", ["kholo", "frobnicate"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def test_reconstruct_plain(capsys):

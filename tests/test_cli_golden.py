@@ -10,9 +10,11 @@ and review the diff of the data file.
 
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -109,18 +111,29 @@ CASES = [
                  "top": [[0, 1, 2]], "marked": [], "endpoints": [0]})),
     # selftest
     ("selftest-seed-3", ["selftest", "--seed", "3"], None),
+    # argparse: help and usage errors
+    ("cli-no-command", [], None),
+    ("cli-help", ["--help"], None),
+    ("cli-unknown-command", ["frobnicate"], None),
+    ("cli-extra-argument", ["reconstruct", "-n", "1", "x", "y"], None),
+    ("reconstruct-help", ["reconstruct", "--help"], None),
+    ("eliminate-help", ["eliminate", "-h"], None),
+    ("reconstruct-bad-dimension", ["reconstruct", "-n", "two", "x"], None),
+    ("fibers-missing-points", ["fibers", "-n", "1", "t^2 - z1"], None),
 ]
 
 
 def run_case(argv, stdin):
+    """One call of ``main``; argparse's help and usage errors end in SystemExit."""
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin or "")
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
+    # argparse wraps help and usage to the terminal width, read from COLUMNS
+    with patch.object(sys, "stdin", io.StringIO(stdin or "")), \
+            patch.dict(os.environ, {"COLUMNS": "80"}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
             code = main(list(argv))
-    finally:
-        sys.stdin = saved
+        except SystemExit as exc:
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
