@@ -159,75 +159,75 @@ def _cmd_selftest(args):
     return selftest.run(seed=args.seed)
 
 
-def build_parser():
+_DIM = (("-n",), {"type": int, "default": 1, "metavar": "DIM",
+                  "help": "number of complex dimensions (default 1)"})
+_FORMAT = (("--format",), {"choices": ("doc", "plain"), "default": "doc",
+                           "help": "output format (default doc)"})
+
+# name -> (handler, help, arguments in declaration order): the one declaration
+# of the command line, used for the full tree and for a single subcommand
+SUBCOMMANDS = {
+    "reconstruct": (_cmd_reconstruct, "recover f from its real part", [
+        _DIM, _FORMAT,
+        (("expr",), {"help": "real part u in x/y variables"})]),
+    "pluriharmonic": (_cmd_pluriharmonic, "test the reconstruction obstruction", [
+        _DIM, _FORMAT,
+        (("expr",), {"help": "candidate real part u in x/y variables"})]),
+    "verify-g": (_cmd_verify_g, "check holomorphy of the doubled polynomial", [
+        _DIM, _FORMAT,
+        (("expr",), {"help": "polynomial f in z variables"})]),
+    "eliminate": (_cmd_eliminate, "annihilator of f from annihilators of its parts", [
+        _DIM, _FORMAT,
+        (("--bound",), {"type": int, "default": 5,
+                        "help": "basepoint grid half-width (default 5)"}),
+        (("p1",), {"help": "annihilator of the real part, in x/y/t"}),
+        (("p2",), {"help": "annihilator of the imaginary part, in x/y/t"})]),
+    "discriminant": (_cmd_discriminant, "discriminant of P(z, t) in t", [
+        _DIM, _FORMAT,
+        (("-t",), {"default": "t", "metavar": "VAR",
+                   "help": "fiber variable (default t)"}),
+        (("expr",), {"help": "polynomial P in z/t variables"})]),
+    "fibers": (_cmd_fibers, "fiber counts over sample points", [
+        _DIM, _FORMAT,
+        (("--tol",), {"type": float, "default": 1e-8,
+                      "help": "root clustering tolerance (default 1e-8)"}),
+        (("expr",), {"help": "polynomial P in z/t variables"}),
+        (("points",), {"help": "semicolon-separated sample points, e.g. '1; 1+i; 2,3'"})]),
+    "route": (_cmd_route, "barycentric route through a complex", [
+        _FORMAT,
+        (("document",), {"help": "complex document (JSON file path or '-')"})]),
+    "selftest": (_cmd_selftest, "run the built-in checks", [
+        (("--seed",), {"type": int, "default": 0, "help": "corpus seed (default 0)"})]),
+}
+
+
+def build_parser(names):
+    """The argument parser holding the named subcommands of ``SUBCOMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="kholo",
         description="Exact toolkit: holomorphic reconstruction, annihilator "
                     "elimination, discriminant fibers, simplicial routing.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_n=True):
-        if need_n:
-            p.add_argument("-n", type=int, default=1, metavar="DIM",
-                           help="number of complex dimensions (default 1)")
-        p.add_argument("--format", choices=("doc", "plain"), default="doc",
-                       help="output format (default doc)")
-
-    p = sub.add_parser("reconstruct", help="recover f from its real part")
-    common(p)
-    p.add_argument("expr", help="real part u in x/y variables")
-    p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser("pluriharmonic", help="test the reconstruction obstruction")
-    common(p)
-    p.add_argument("expr", help="candidate real part u in x/y variables")
-    p.set_defaults(handler=_cmd_pluriharmonic)
-
-    p = sub.add_parser("verify-g", help="check holomorphy of the doubled polynomial")
-    common(p)
-    p.add_argument("expr", help="polynomial f in z variables")
-    p.set_defaults(handler=_cmd_verify_g)
-
-    p = sub.add_parser("eliminate", help="annihilator of f from annihilators of its parts")
-    common(p)
-    p.add_argument("--bound", type=int, default=5,
-                   help="basepoint grid half-width (default 5)")
-    p.add_argument("p1", help="annihilator of the real part, in x/y/t")
-    p.add_argument("p2", help="annihilator of the imaginary part, in x/y/t")
-    p.set_defaults(handler=_cmd_eliminate)
-
-    p = sub.add_parser("discriminant", help="discriminant of P(z, t) in t")
-    common(p)
-    p.add_argument("-t", default="t", metavar="VAR",
-                   help="fiber variable (default t)")
-    p.add_argument("expr", help="polynomial P in z/t variables")
-    p.set_defaults(handler=_cmd_discriminant)
-
-    p = sub.add_parser("fibers", help="fiber counts over sample points")
-    common(p)
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="root clustering tolerance (default 1e-8)")
-    p.add_argument("expr", help="polynomial P in z/t variables")
-    p.add_argument("points",
-                   help="semicolon-separated sample points, e.g. '1; 1+i; 2,3'")
-    p.set_defaults(handler=_cmd_fibers)
-
-    p = sub.add_parser("route", help="barycentric route through a complex")
-    common(p, need_n=False)
-    p.add_argument("document", help="complex document (JSON file path or '-')")
-    p.set_defaults(handler=_cmd_route)
-
-    p = sub.add_parser("selftest", help="run the built-in checks")
-    p.add_argument("--seed", type=int, default=0,
-                   help="corpus seed (default 0)")
-    p.set_defaults(handler=_cmd_selftest)
-
+    # A tree with fewer subcommands still names them all in its usage line,
+    # which an unrecognized argument prints; the full tree keeps the default,
+    # since a metavar would also rename 'command' in its error messages.
+    metavar = None if len(names) == len(SUBCOMMANDS) else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        handler, help_text, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named subcommand's parser is built; help, a missing or an
+    # unknown subcommand need the full tree for their text.
+    names = argv[:1] if argv and argv[0] in SUBCOMMANDS else list(SUBCOMMANDS)
+    args = build_parser(names).parse_args(argv)
     try:
         return args.handler(args)
     except KholoError as exc:

@@ -60,6 +60,10 @@ class DegreeOverflow(InputError):
     """A computed degree exceeds the supported bound."""
 
 
+class ExpansionTooLarge(InputError):
+    """An expression would expand past the term budget or the integer digit limit."""
+
+
 class InexactDivision(KholoError):
     """Polynomial division expected to be exact left a remainder."""
 

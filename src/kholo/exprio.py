@@ -6,29 +6,44 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     term     := factor ('*' factor)*
     factor   := atom ['^' nat]
     atom     := rational | 'i' | ident | '(' expr ')' | '-' factor
-    rational := int ['/' nat]
+    rational := int ['/' int]
+    nat, int := decimal digit+
     ident    := letter (letter|digit)*
 
 ``i`` is the imaginary unit literal.  A parenthesized exponent is tolerated
 so that ``x^(-1)`` reports NegativeExponent rather than a bare syntax error.
+A digit is a Unicode decimal digit (``str.isdecimal``), exactly what
+``int()`` reads, so ``²`` is an unexpected character.
+
+Lowering builds one term map and keeps a budget: each product of two sums,
+also inside a power of a sum, may expand to at most
+``polynomials.MAX_EXPANSION_TERMS`` terms (|A|*|B| for sums of |A| and |B|
+terms), and no integer may pass the interpreter's ``int``/``str`` digit
+limit (``sys.get_int_max_str_digits()``, checked on literals, bounded before
+a power is taken and checked on the result).  Both refusals raise
+ExpansionTooLarge, an input error.
 
 The printer emits the canonical form (graded-lex descending terms,
 coefficients as ``a``, ``a/b`` or ``(a+b*i)``); parsing its output always
 reproduces the polynomial exactly.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, log10
+from operator import add
 
 from kholo.errors import (
     DegreeOverflow,
     DivisionByZero,
+    ExpansionTooLarge,
     ExprSyntaxError,
     NegativeExponent,
     UnknownVariable,
 )
-from kholo.polynomials import MAX_TOTAL_DEGREE, SparsePoly, VarSpace
-from kholo.rationals import GQ_I, GaussianRational
+from kholo.polynomials import MAX_EXPANSION_TERMS, MAX_TOTAL_DEGREE, SparsePoly, VarSpace
+from kholo.rationals import GQ_I, GQ_ONE, GaussianRational, as_gaussian, terms_mul
 
 _MAX_DEPTH = 200
 
@@ -108,9 +123,9 @@ def _tokenize(text):
             column += 1
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < length and text[pos].isdigit():
+            while pos < length and text[pos].isdecimal():
                 pos += 1
             tokens.append(_Token("int", text[start:pos], line, column))
             column += pos - start
@@ -128,6 +143,16 @@ def _tokenize(text):
 
 
 # -- parser -------------------------------------------------------------------
+
+def _integer(tok):
+    """The value of an 'int' token, refused beyond the interpreter's digit limit."""
+    limit = _digit_limit()
+    if limit and len(tok.text) > limit:
+        raise ExpansionTooLarge(
+            f"integer of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
+            f"is over the limit of {limit} digits")
+    return int(tok.text)
+
 
 class _Parser:
     def __init__(self, text):
@@ -201,8 +226,7 @@ class _Parser:
         if tok.kind == "-":
             raise NegativeExponent("exponent must be a non-negative integer",
                                    tok.line, tok.column)
-        value_tok = self.expect("int")
-        value = int(value_tok.text)
+        value = _integer(self.expect("int"))
         if wrapped:
             self.expect(")")
         return value
@@ -230,12 +254,11 @@ class _Parser:
         return node
 
     def rational(self):
-        num_tok = self.expect("int")
-        numerator = int(num_tok.text)
+        numerator = _integer(self.expect("int"))
         if self.peek().kind == "/":
             self.advance()
             den_tok = self.expect("int")
-            denominator = int(den_tok.text)
+            denominator = _integer(den_tok)
             if denominator == 0:
                 raise DivisionByZero(
                     f"zero denominator at line {den_tok.line}, "
@@ -250,6 +273,13 @@ def parse_expression(text):
 
 
 # -- lowering -----------------------------------------------------------------
+#
+# One pass builds one term map.  A lowered value is a monomial, the tuple
+# (exps, nonzero coeff), or a term map dict with no or at least two terms.
+# Sums are walked with a stack into one accumulator; a product folds its
+# monomial factors into one monomial and multiplies term maps only for the
+# factors that are sums.  Checks run in reading order, as lowering node by
+# node would run them.
 
 def _resolve_name(name, space):
     if name in space:
@@ -260,25 +290,218 @@ def _resolve_name(name, space):
     raise UnknownVariable(f"{name!r} is not a variable of this space")
 
 
+def _digit_limit():
+    """Decimal digits int() and str() convert; 0 means no limit."""
+    get = getattr(sys, "get_int_max_str_digits", None)  # Python 3.10.7 and later
+    return get() if get else 0
+
+
+def _degree(value):
+    if type(value) is tuple:
+        return sum(value[0])
+    return max(map(sum, value), default=-1)
+
+
+def _as_value(terms):
+    if len(terms) == 1:
+        return next(iter(terms.items()))
+    return terms
+
+
+def _check_power_degree(degree, e):
+    if degree * e > MAX_TOTAL_DEGREE:
+        raise DegreeOverflow("power degree exceeds the supported bound")
+
+
+def _multiply(a, b, what):
+    """The ring product of two sums, refused when it could pass the term budget."""
+    if len(a) * len(b) > MAX_EXPANSION_TERMS:
+        raise ExpansionTooLarge(
+            f"{what} multiplies sums of {len(a)} and {len(b)} terms, up to "
+            f"{len(a) * len(b)} terms, over the limit of {MAX_EXPANSION_TERMS}")
+    return terms_mul(a, b)
+
+
+def _check_power_digits(coeffs, e):
+    """Refuse a power whose coefficients could pass the digit limit.
+
+    With L the lcm of the denominators and n_j = c_j * L, each coefficient of
+    (sum c_j m_j)^e has a denominator dividing L^e and real and imaginary
+    numerators at most (sum |Re n_j| + |Im n_j|)^e, the multinomial bound.
+    """
+    limit = _digit_limit()
+    if not limit:
+        return
+    den = lcm(*(c.d for c in coeffs))
+    top = sum((abs(c.x) + abs(c.y)) * (den // c.d) for c in coeffs)
+    digits = int(e * log10(max(top, den))) + 1
+    if digits > limit:
+        raise ExpansionTooLarge(
+            f"power {e} builds integers of up to {digits} digits, "
+            f"over the limit of {limit} digits")
+
+
+def _check_digits(terms):
+    """Refuse a result holding an integer str() could not print."""
+    limit = _digit_limit()
+    if not limit:
+        return
+    cap = limit * 3321928 // 1000000  # below floor(limit * log2(10)) bits, |v| < 10**limit
+    for c in terms.values():
+        bits = max(c.x.bit_length(), c.y.bit_length(), c.d.bit_length())
+        if bits > cap and max(abs(c.x), abs(c.y), c.d) >= 10**limit:
+            raise ExpansionTooLarge(
+                f"a coefficient has up to {int(bits * 0.30103) + 1} digits, "
+                f"over the limit of {limit} digits")
+
+
+class _Lowering:
+    """Lowers the AST of one expression into the term map of one space."""
+
+    def __init__(self, space):
+        self.space = space
+        self.constant = (0,) * len(space.names)
+        self.units = {}
+
+    def unit(self, name):
+        exps = self.units.get(name)
+        if exps is None:
+            k = self.space.index(_resolve_name(name, self.space))
+            exps = self.units[name] = tuple(int(j == k) for j in range(len(self.constant)))
+        return exps
+
+    def sum(self, node):
+        """The term map of an Add/Sub/Neg tree, summed in reading order."""
+        out = {}
+        stack = [(node, False)]
+        while stack:
+            node, negative = stack.pop()
+            kind = type(node)
+            if kind is Add or kind is Sub:
+                stack.append((node.right, negative ^ (kind is Sub)))
+                stack.append((node.left, negative))
+                continue
+            if kind is Neg:
+                stack.append((node.operand, not negative))
+                continue
+            value = self.factor(node)
+            for exps, c in (value,) if type(value) is tuple else value.items():
+                if negative:
+                    c = -c
+                prev = out.get(exps)
+                if prev is None:
+                    out[exps] = c
+                else:
+                    c = prev + c
+                    if c:
+                        out[exps] = c
+                    else:
+                        del out[exps]
+        return out
+
+    def factor(self, node):
+        kind = type(node)
+        if kind is Var:
+            return (self.unit(node.name), GQ_ONE)
+        if kind is Const:
+            value = as_gaussian(node.value)
+            return (self.constant, value) if value else {}
+        if kind is Mul:
+            return self.product(node)
+        if kind is Pow:
+            return self.power(node)
+        if kind is Neg:
+            value = self.factor(node.operand)
+            if type(value) is tuple:
+                return (value[0], -value[1])
+            return {exps: -c for exps, c in value.items()}
+        if kind is Add or kind is Sub:
+            return _as_value(self.sum(node))
+        raise TypeError(f"not an AST node: {node!r}")
+
+    def product(self, node):
+        """A Mul chain: one monomial times the product of the factors that are sums."""
+        factors = []
+        while type(node) is Mul:
+            factors.append(node.right)
+            node = node.left
+        factors.append(node)
+        exps = list(self.constant)
+        coeff = GQ_ONE
+        sums = None
+        degree = 0  # of the product so far; -1 once it is zero
+        for node in reversed(factors):
+            value = self.factor(node)
+            factor_degree = _degree(value)
+            if degree + factor_degree > MAX_TOTAL_DEGREE:
+                raise DegreeOverflow("product degree exceeds the supported bound")
+            if degree < 0:
+                continue
+            if factor_degree < 0:
+                degree = -1
+                continue
+            degree += factor_degree
+            if type(value) is tuple:
+                for j, e in enumerate(value[0]):
+                    if e:
+                        exps[j] += e
+                if value[1] is not GQ_ONE:
+                    coeff = value[1] if coeff is GQ_ONE else coeff * value[1]
+            elif sums is None:
+                sums = value
+            else:
+                sums = _multiply(sums, value, "a product")
+        if degree < 0:
+            return {}
+        exps = tuple(exps)
+        if sums is None:
+            return (exps, coeff)
+        if exps == self.constant and coeff == GQ_ONE:
+            return sums
+        return {tuple(map(add, e, exps)): c * coeff for e, c in sums.items()}
+
+    def power(self, node):
+        e = node.exponent
+        if e > MAX_TOTAL_DEGREE:
+            raise DegreeOverflow(f"exponent {e} exceeds the bound")
+        base = self.factor(node.base)
+        if e == 1:
+            return base
+        if e == 0:
+            return (self.constant, GQ_ONE)
+        if not base:
+            return {}
+        if type(base) is tuple:
+            exps, c = base
+            _check_power_degree(sum(exps), e)
+            if c is not GQ_ONE:
+                _check_power_digits((c,), e)
+                c = c ** e
+            return (tuple(x * e for x in exps), c)
+        _check_power_degree(_degree(base), e)
+        _check_power_digits(base.values(), e)
+        # binary powering, each product checked against the term budget
+        what = f"power {e} of a sum of {len(base)} terms"
+        result = None
+        while True:
+            if e & 1:
+                result = base if result is None else _multiply(result, base, what)
+            e >>= 1
+            if not e:
+                return result
+            base = _multiply(base, base, what)
+
+
 def lower(ast, space):
-    """Lower an AST to a canonical SparsePoly in the given space."""
-    if isinstance(ast, Const):
-        return SparsePoly.constant(space, ast.value)
-    if isinstance(ast, Var):
-        return SparsePoly.variable(space, _resolve_name(ast.name, space))
-    if isinstance(ast, Neg):
-        return -lower(ast.operand, space)
-    if isinstance(ast, Add):
-        return lower(ast.left, space) + lower(ast.right, space)
-    if isinstance(ast, Sub):
-        return lower(ast.left, space) - lower(ast.right, space)
-    if isinstance(ast, Mul):
-        return lower(ast.left, space) * lower(ast.right, space)
-    if isinstance(ast, Pow):
-        if ast.exponent > MAX_TOTAL_DEGREE:
-            raise DegreeOverflow(f"exponent {ast.exponent} exceeds the bound")
-        return lower(ast.base, space) ** ast.exponent
-    raise TypeError(f"not an AST node: {ast!r}")
+    """Lower an AST to a canonical SparsePoly in the given space.
+
+    Refuses with ExpansionTooLarge a product of two sums, also one inside a
+    power, that could expand past ``MAX_EXPANSION_TERMS`` terms, and any
+    integer beyond the interpreter's ``int``/``str`` digit limit.
+    """
+    terms = _Lowering(space).sum(ast)
+    _check_digits(terms)
+    return SparsePoly(space, terms)
 
 
 def parse_poly(text, space):

@@ -39,6 +39,11 @@ from kholo.rationals import (
 )
 
 MAX_TOTAL_DEGREE = 10**6
+# The most terms one product of two sums may expand to while an expression is
+# read (kholo.exprio), also inside a power.  A term costs about 4 us at
+# perfbench's reference speed with small coefficients, and under 100 us with
+# 2,000-digit ones, so the largest accepted product stays under 1 s.
+MAX_EXPANSION_TERMS = 10**4
 
 _NAME_RE = _re.compile(r"^([xyzw])([1-9][0-9]*)$")
 

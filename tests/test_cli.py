@@ -127,6 +127,25 @@ def test_unknown_variable_exit_code(capsys):
     assert code == 2
 
 
+def test_long_sum_and_product_end_in_a_verdict(capsys):
+    long_sum = " + ".join(f"{k + 1}*x1^{k % 3}*y1^{k % 5}" for k in range(5000))
+    code, out, err = run(capsys, "pluriharmonic", "-n", "1", "--format", "plain", long_sum)
+    assert (code, out, err) == (1, "false\n", "")
+    long_product = "*".join(["z1"] * 2000)
+    code, out, err = run(capsys, "discriminant", "-n", "1", "--format", "plain",
+                         f"t^2 - {long_product}")
+    assert (code, out, err) == (0, "4*z1^2000\n", "")
+
+
+def test_expansion_past_the_budget_is_input_error(capsys):
+    code, out, err = run(capsys, "pluriharmonic", "-n", "2", "(x1+x2+y1+y2+1)^30")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power 30 of a sum of 5 terms")
+    code, out, err = run(capsys, "verify-g", "-n", "1", "10^5000*z")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power 5000 builds integers")
+
+
 def test_expression_from_file(tmp_path, capsys):
     path = tmp_path / "u.txt"
     path.write_text("x^2 - y^2\n")

@@ -51,14 +51,20 @@ CASES = [
     ("reconstruct-unknown-variable", ["reconstruct", "-n", "1", "x3 + 1"], None),
     ("reconstruct-division-by-zero", ["reconstruct", "-n", "1", "1/0"], None),
     ("reconstruct-degree-overflow", ["reconstruct", "-n", "1", "x^100000000"], None),
+    ("reconstruct-superscript-digit", ["reconstruct", "-n", "1", "2²"], None),
+    ("reconstruct-superscript-exponent", ["reconstruct", "-n", "1", "x^²"], None),
     # pluriharmonic
     ("pluriharmonic-doc", ["pluriharmonic", "-n", "1", "x^2 - y^2"], None),
     ("pluriharmonic-negative", ["pluriharmonic", "-n", "1", "x^2"], None),
     ("pluriharmonic-n2-plain", ["pluriharmonic", "-n", "2", "--format", "plain", "x1*y2"], None),
+    ("pluriharmonic-expansion-too-large",
+     ["pluriharmonic", "-n", "2", "(x1+x2+y1+y2+1)^30"], None),
     # verify-g
     ("verify-g-doc", ["verify-g", "-n", "2", "z1*z2 + i*z1^3"], None),
     ("verify-g-plain", ["verify-g", "-n", "1", "--format", "plain", "z1^2 + 1"], None),
     ("verify-g-unknown-variable", ["verify-g", "-n", "1", "z2"], None),
+    ("verify-g-power-too-long", ["verify-g", "-n", "1", "10^5000*z"], None),
+    ("verify-g-literal-too-long", ["verify-g", "-n", "1", "1" * 5000 + "*z"], None),
     # eliminate
     ("eliminate-doc", ["eliminate", "-n", "1", "t - x^2 + y^2", "t - 2*x*y"], None),
     ("eliminate-plain", ["eliminate", "-n", "1", "--format", "plain", "t - x^2 + y^2", "t - 2*x*y"], None),
