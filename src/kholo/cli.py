@@ -222,8 +222,7 @@ def build_parser(names):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     # Only the named subcommand's parser is built; help, a missing or an
     # unknown subcommand need the full tree for their text.
     names = argv[:1] if argv and argv[0] in SUBCOMMANDS else list(SUBCOMMANDS)

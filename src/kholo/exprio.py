@@ -346,7 +346,7 @@ def _check_digits(terms):
     limit = _digit_limit()
     if not limit:
         return
-    cap = limit * 3321928 // 1000000  # below floor(limit * log2(10)) bits, |v| < 10**limit
+    cap = limit * 3321928 // 1000000  # 2**cap <= 10**limit: values of at most cap bits fit
     for c in terms.values():
         bits = max(c.x.bit_length(), c.y.bit_length(), c.d.bit_length())
         if bits > cap and max(abs(c.x), abs(c.y), c.d) >= 10**limit:
