@@ -326,6 +326,8 @@ def test_product_of_sums_beyond_the_term_budget_is_refused():
 
 def test_integers_beyond_the_digit_limit_are_refused():
     limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
     assert parse_poly("10^%d*z" % (limit - 1), VarSpace.z(1)).constant_term() == 0
     for text in ["10^%d*z" % limit, "(2*z)^%d" % (4 * limit), "(z + 10)^%d" % limit,
                  "1" * (limit + 1), "x^" + "1" * (limit + 1),
