@@ -53,6 +53,7 @@ CASES = [
     ("reconstruct-degree-overflow", ["reconstruct", "-n", "1", "x^100000000"], None),
     ("reconstruct-superscript-digit", ["reconstruct", "-n", "1", "2²"], None),
     ("reconstruct-superscript-exponent", ["reconstruct", "-n", "1", "x^²"], None),
+    ("reconstruct-superscript-after-name", ["reconstruct", "-n", "1", "x²"], None),
     # pluriharmonic
     ("pluriharmonic-doc", ["pluriharmonic", "-n", "1", "x^2 - y^2"], None),
     ("pluriharmonic-negative", ["pluriharmonic", "-n", "1", "x^2"], None),
@@ -69,12 +70,15 @@ CASES = [
     ("eliminate-doc", ["eliminate", "-n", "1", "t - x^2 + y^2", "t - 2*x*y"], None),
     ("eliminate-plain", ["eliminate", "-n", "1", "--format", "plain", "t - x^2 + y^2", "t - 2*x*y"], None),
     ("eliminate-translated", ["eliminate", "-n", "1", "y*t - y*x", "t - y"], None),
+    ("eliminate-translated-n2",
+     ["eliminate", "-n", "2", "y2*(t - x1*x2 + y1*y2)", "t - x1*y2 - x2*y1"], None),
     ("eliminate-non-real", ["eliminate", "-n", "1", "i*t", "t"], None),
     ("eliminate-zero", ["eliminate", "-n", "1", "0", "t"], None),
     ("eliminate-no-t", ["eliminate", "-n", "1", "x", "y"], None),
     ("eliminate-p1-no-t", ["eliminate", "-n", "1", "x", "t - 2*x*y"], None),
     ("eliminate-p2-no-t", ["eliminate", "-n", "1", "t - x^2 + y^2", "y"], None),
     ("eliminate-no-basepoint", ["eliminate", "-n", "1", "--bound", "0", "y*t", "t"], None),
+    ("eliminate-restriction-vanishes-at-origin", ["eliminate", "-n", "1", "y*t", "t"], None),
     ("eliminate-unknown-variable", ["eliminate", "-n", "1", "t - z1", "t"], None),
     # discriminant
     ("discriminant-doc", ["discriminant", "-n", "1", "t^2 - z1"], None),
@@ -89,6 +93,7 @@ CASES = [
     ("fibers-on-locus", ["fibers", "-n", "1", "t^2 - z1", "1; 0"], None),
     ("fibers-leading-vanishes", ["fibers", "-n", "1", "z1*t^2 + t + 1", "0"], None),
     ("fibers-arity", ["fibers", "-n", "2", "t^2 - z1", "1"], None),
+    ("fibers-huge-coefficient", ["fibers", "-n", "1", "t^2 - 10^400*z1", "1; 2"], None),
     # route
     ("route-doc", ["route", "-"], _doc(2, _STRIP, _STRIP_TOP, [[1]], [0, 5])),
     ("route-plain", ["route", "--format", "plain", "-"],
@@ -103,6 +108,9 @@ CASES = [
      _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [[1, 3]], [0, 2])),
     ("route-marked-edge", ["route", "-"],
      _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [[0, 1]], [0, 2])),
+    ("route-marked-top-3d", ["route", "-"],
+     _doc(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2, 3]],
+          [[0, 1, 2, 3]], [0, 1])),
     ("route-endpoint-out-of-range", ["route", "-"],
      _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [], [0, 9])),
     ("route-endpoint-in-no-top", ["route", "-"],
@@ -124,6 +132,7 @@ CASES = [
     ("cli-extra-argument", ["reconstruct", "-n", "1", "x", "y"], None),
     ("reconstruct-help", ["reconstruct", "--help"], None),
     ("eliminate-help", ["eliminate", "-h"], None),
+    ("fibers-help", ["fibers", "-h"], None),
     ("reconstruct-bad-dimension", ["reconstruct", "-n", "two", "x"], None),
     ("fibers-missing-points", ["fibers", "-n", "1", "t^2 - z1"], None),
 ]
