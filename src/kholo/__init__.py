@@ -2,9 +2,9 @@
 
 The toolkit recovers a holomorphic polynomial from its real part without
 integration, eliminates annihilators of the real and imaginary parts into an
-annihilator of the function itself, computes discriminant loci with numeric
-fiber counting off the locus, and routes barycentric paths through simplicial
-complexes around marked low-dimensional subcomplexes.  All core arithmetic is
+annihilator of the function itself, computes discriminant loci with exact
+fiber counts off the locus, and routes barycentric paths through simplicial
+complexes around marked low-dimensional subcomplexes.  All arithmetic is
 exact over the Gaussian rationals.
 """
 

@@ -1,11 +1,12 @@
-"""Discriminant loci and numeric fiber counting.
+"""Discriminant loci and exact fiber counting.
 
 For an annihilator P(z, t) the discriminant D(z) cuts out the locus over
-which the t-fibers degenerate; away from it, the number of distinct roots of
-the specialization P(z0, t) is constant and the projection behaves like a
-finite covering.  Root counting is the only floating-point code in the
-toolkit: an Aberth-Ehrlich simultaneous iteration with deterministic seeding,
-cross-checkable against an exact gcd square-freeness test.
+which the t-fibers degenerate.  Off the locus, where the leading
+t-coefficient also survives, P(z0, t) is squarefree of degree d = deg_t P,
+so every fiber has exactly d points and the projection is a d-sheeted
+covering.  The covering check therefore proves its counts instead of
+computing them; ``distinct_root_count_exact`` counts any fiber, on the locus
+too, by the Euclidean algorithm over Q(i).
 """
 
 import cmath
@@ -24,7 +25,6 @@ from kholo.exprio import format_gaussian
 from kholo.polynomials import SparsePoly, exact_divide, univariate_coefficients
 from kholo.rationals import GQ_ZERO, GaussianRational, as_gaussian
 
-DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 
 
@@ -39,12 +39,13 @@ class FiberSample:
 class BranchReport:
     """Fiber counts along a sample path, plus the discriminant that guards it.
 
-    ``covering_degree`` is set exactly when every off-locus sample agrees."""
+    Every sample lies off the locus, so every count and ``covering_degree``
+    equal deg_t P."""
 
     p: SparsePoly
     discriminant: SparsePoly
     samples: list[FiberSample]
-    covering_degree: int | None
+    covering_degree: int
 
 
 def discriminant(p, name):
@@ -88,22 +89,7 @@ def locus_membership(d, z0):
 
 # -- numeric root finding -----------------------------------------------------
 
-def _to_complex(c):
-    return float(c.re) + 1j * float(c.im)
-
-
-def evaluate_complex(p, point):
-    """Floating-point value of p at a complex assignment {name: complex}."""
-    total = 0j
-    for exps, coeff in p._terms.items():
-        term = _to_complex(coeff)
-        for k, e in enumerate(exps):
-            if e:
-                term *= point[p.space.names[k]] ** e
-        total += term
-    return total
-
-
+# No pipeline calls this; it stays until perfbench/tracing.py stops wrapping it by name.
 def aberth_roots(coeffs, max_iter=DEFAULT_MAX_ITER):
     """All complex roots of sum(coeffs[k] * t^k) by Aberth-Ehrlich iteration.
 
@@ -167,26 +153,6 @@ def aberth_roots(coeffs, max_iter=DEFAULT_MAX_ITER):
     raise NonConvergence(f"root iteration did not settle in {max_iter} steps")
 
 
-def _cluster_count(points, tol):
-    # single linkage: count connected components of the tol-proximity graph
-    m = len(points)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(points[a] - points[b]) < tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    return len({find(a) for a in range(m)})
-
-
 def _specialize(p, z0, name):
     """Exact coefficients of P(z0, t) as a univariate list in t.
 
@@ -202,28 +168,20 @@ def _specialize(p, z0, name):
     return exact
 
 
-def fiber_count(p, z0, tol=DEFAULT_TOL, name="t", max_iter=DEFAULT_MAX_ITER):
-    """Number of distinct complex roots of the specialization P(z0, t).
-
-    The leading-coefficient precondition is checked exactly; the roots are
-    found in floating point and clustered at distance tol.
-    """
-    exact = _specialize(p, z0, name)
-    roots = aberth_roots([_to_complex(c) for c in exact], max_iter=max_iter)
-    return _cluster_count(roots, tol)
-
-
 def distinct_root_count_exact(p, z0, name="t"):
     """Exact distinct-root count of P(z0, t): deg - deg(gcd(P, dP/dt)).
 
-    Independent of the numeric route: uses the Euclidean algorithm over Q(i)
-    on the exact specialization.
+    Uses the Euclidean algorithm over Q(i) on the exact specialization.
+    Raises LeadingCoefficientVanishes when the leading t-coefficient dies at z0.
     """
     exact = _specialize(p, z0, name)
     d = len(exact) - 1
     deriv = [exact[k] * k for k in range(1, d + 1)]
     g = _univariate_gcd(exact, deriv)
     return d - (len(g) - 1)
+
+
+fiber_count = distinct_root_count_exact
 
 
 def _trim(c):
@@ -261,27 +219,28 @@ def _poly_mod(a, b):
 
 # -- covering checks ----------------------------------------------------------
 
-def covering_check(p, path, tol=DEFAULT_TOL, name="t", max_iter=DEFAULT_MAX_ITER):
+def covering_check(p, path, name="t"):
     """Fiber counts along user-supplied sample points off the discriminant locus.
 
-    Every point is first checked exactly against the locus (PointOnLocus names
-    the offender); the covering degree is recorded iff all counts agree.  An
-    empty path is an input error (NoSamplePoints), since it gives no verdict.
+    Each point is checked exactly: off the locus (PointOnLocus names the
+    offender), then with a surviving leading coefficient
+    (LeadingCoefficientVanishes).  Both together make P(z0, t) squarefree of
+    degree d = deg_t P, so every count is d.  An empty path is an input
+    error (NoSamplePoints), since it gives no verdict.
     """
     disc = discriminant(p, name)
     base = p.space.drop(name)
+    degree = p.degree_in(name)
     samples = []
     for z0 in path:
         point = _as_point(base, z0)
         if locus_membership(disc, point):
             raise PointOnLocus(
                 f"sample {_spell_point(base, point)} lies on the discriminant locus")
-        count = fiber_count(p, point, tol=tol, name=name, max_iter=max_iter)
+        _specialize(p, point, name)  # raises LeadingCoefficientVanishes
         key = tuple(point[nm] for nm in base.names)
-        samples.append(FiberSample(point=key, on_locus=False, fiber_count=count))
+        samples.append(FiberSample(point=key, on_locus=False, fiber_count=degree))
     if not samples:
         raise NoSamplePoints("the covering check needs at least one sample point")
-    counts = {s.fiber_count for s in samples}
-    degree = counts.pop() if len(counts) == 1 else None
     return BranchReport(p=p, discriminant=disc, samples=samples,
                         covering_degree=degree)

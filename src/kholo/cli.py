@@ -4,7 +4,7 @@ One batch invocation per subcommand; every run writes a single report
 document (or a plain rendering with ``--format plain``) to standard output.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict (not
-pluriharmonic, degenerate resultant, mismatched covering counts, no route),
+pluriharmonic, degenerate resultant, no route),
 2 input error, 3 internal error.  A handler returns 0 or 1 for its verdict;
 an error's code is declared on its class in :mod:`kholo.errors`, so the CLI
 catches only ``KholoError`` and needs no list of error classes.
@@ -100,7 +100,7 @@ def _cmd_eliminate(args):
     p1 = parse_poly(_read_text_arg(args.p1), space)
     p2 = parse_poly(_read_text_arg(args.p2), space)
     pair = AnnihilatorPair(p1=p1, p2=p2, n=args.n)
-    report = eliminate_annihilator(pair, bound=args.bound)
+    report = eliminate_annihilator(pair)
     code = EXIT_NEGATIVE if report.degenerate else EXIT_OK
     doc = reports.document(
         "eliminate",
@@ -125,13 +125,12 @@ def _cmd_fibers(args):
     p = parse_poly(_read_text_arg(args.expr), space)
     points = [parse_point(part, args.n)
               for part in args.points.split(";") if part.strip()]
-    report = covering_check(p, points, tol=args.tol)
-    code = EXIT_OK if report.covering_degree is not None else EXIT_NEGATIVE
+    report = covering_check(p, points)
     doc = reports.document("fibers", {"p": reports.poly_to_doc(p)},
-                           reports.report_to_doc(report), code)
+                           reports.report_to_doc(report), EXIT_OK)
     counts = " ".join(str(s.fiber_count) for s in report.samples)
     _emit(args, doc, [f"degree {report.covering_degree} counts {counts}"])
-    return code
+    return EXIT_OK
 
 
 def _cmd_route(args):
@@ -178,8 +177,6 @@ SUBCOMMANDS = {
         (("expr",), {"help": "polynomial f in z variables"})]),
     "eliminate": (_cmd_eliminate, "annihilator of f from annihilators of its parts", [
         _DIM, _FORMAT,
-        (("--bound",), {"type": int, "default": 5,
-                        "help": "basepoint grid half-width (default 5)"}),
         (("p1",), {"help": "annihilator of the real part, in x/y/t"}),
         (("p2",), {"help": "annihilator of the imaginary part, in x/y/t"})]),
     "discriminant": (_cmd_discriminant, "discriminant of P(z, t) in t", [
@@ -189,8 +186,6 @@ SUBCOMMANDS = {
         (("expr",), {"help": "polynomial P in z/t variables"})]),
     "fibers": (_cmd_fibers, "fiber counts over sample points", [
         _DIM, _FORMAT,
-        (("--tol",), {"type": float, "default": 1e-8,
-                      "help": "root clustering tolerance (default 1e-8)"}),
         (("expr",), {"help": "polynomial P in z/t variables"}),
         (("points",), {"help": "semicolon-separated sample points, e.g. '1; 1+i; 2,3'"})]),
     "route": (_cmd_route, "barycentric route through a complex", [

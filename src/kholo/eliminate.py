@@ -1,18 +1,17 @@
 """From annihilators of the real and imaginary parts to an annihilator of f.
 
 Given nonzero real polynomials P1(x, y, t), P2(x, y, t) annihilating the two
-components of f = f1 + i*f2, the pipeline restricts them to y = y0 after a
-translation chosen so both restrictions survive, complexifies x to z, and
-eliminates the auxiliary variable:
+components of f = f1 + i*f2, the pipeline restricts them to y = y0, where y0
+is chosen so both restrictions survive, complexifies x to z, and eliminates
+the auxiliary variable:
 
-    Q1(z, t) := P1(z + x0, y0, t)
-    Q2(z, t) := P2(z + x0, y0, -i*t)
-    R(z, t)  := Res_w0( Q1(z, w0), Q2(z, t - w0) )
+    Q1(z, t) := P1(z, y0, t)
+    Q2(z, t) := P2(z, y0, -i*t)
+    R(z, t)  := Res_w0( Q1(z - i*y0, w0), Q2(z - i*y0, t - w0) )
 
-A nonzero R annihilates the translated f; the report's annihilator is R
-expressed back in the original coordinates.  The resultant is the determinant
-of the Sylvester matrix, computed by fraction-free Bareiss elimination over
-the polynomial ring.
+R annihilates f when it is nonzero.  The resultant is the determinant of the
+Sylvester matrix, computed by fraction-free Bareiss elimination over the
+polynomial ring.
 """
 
 from dataclasses import dataclass
@@ -20,8 +19,8 @@ from fractions import Fraction
 from itertools import product
 
 from kholo.errors import (
-    BasepointNotFound,
     DegreeZeroBoth,
+    KholoError,
     NonRealCoefficients,
     SpaceMismatch,
     ZeroDegree,
@@ -33,7 +32,6 @@ from kholo.polynomials import (
     VarSpace,
     drop_variable,
     exact_divide,
-    rename_space,
     substitute_variable,
     univariate_coefficients,
 )
@@ -69,12 +67,13 @@ class AnnihilatorPair:
 
 @dataclass
 class EliminationReport:
-    """Pipeline outcome: translation point, restrictions, eliminant.
+    """Pipeline outcome: basepoint, restrictions, eliminant.
 
-    ``annihilator`` is stated in the original coordinates; with a zero
-    basepoint it is literally Res_w0(q1(z, w0), q2(z, t - w0)).  ``degenerate``
-    flags a vanishing resultant (the restrictions shared a factor), in which
-    case no annihilator was obtained.
+    The basepoint is (0, y0): whether a restriction vanishes does not depend
+    on the x-translation, so ``basepoint_x`` is all zeros.  ``annihilator`` is
+    Res_w0(q1(z - i*y0, w0), q2(z - i*y0, t - w0)), in the original
+    coordinates.  ``degenerate`` flags a vanishing resultant (the
+    restrictions shared a factor), in which case no annihilator was obtained.
     """
 
     basepoint_x: tuple[Fraction, ...]
@@ -180,57 +179,62 @@ def _grid_points(dim, bound):
                 yield point
 
 
-def _restrict(p, n, x0, y0):
-    """P(x + x0, y0, t) as a polynomial in (x, t)."""
-    target = VarSpace.xt(n)
-    images = {"t": SparsePoly.variable(target, "t")}
-    for j in range(1, n + 1):
-        images[f"x{j}"] = (SparsePoly.variable(target, f"x{j}")
-                           + SparsePoly.constant(target, x0[j - 1]))
-        images[f"y{j}"] = SparsePoly.constant(target, y0[j - 1])
-    return LinearSubst(p.space, target, images).apply(p)
+def _restriction(p, y0, t_image):
+    """P(z, y0, t_image) in the space of ``t_image``: x -> z, y -> y0, t -> t_image."""
+    zt = t_image.space
+    images = {"t": t_image}
+    for j, c in enumerate(y0, 1):
+        images[f"x{j}"] = SparsePoly.variable(zt, f"z{j}")
+        images[f"y{j}"] = SparsePoly.constant(zt, c)
+    return LinearSubst(p.space, zt, images).apply(p)
 
 
-def search_basepoint(pair, bound=5):
-    """First integer grid point making both translated restrictions nonzero.
+def search_basepoint(pair):
+    """First integer y0 making both restrictions nonzero, with the restrictions.
 
-    Enumerates [-bound, bound]^(2n) graded by max-norm then lexicographically
-    and returns the first (x0, y0) such that P1(x + x0, y0, t) and
-    P2(x + x0, y0, t) are both nonzero; (0, 0) wins when already valid.
+    Returns ``(y0, q1, q2)`` with q1 = P1(z, y0, t) and q2 = P2(z, y0, -i*t).
+    Walks y0 graded by max-norm, then lexicographically over [-r, r]^n, so
+    y0 = 0 wins when it is valid.  The walk always succeeds by radius
+    D = max_j(deg_{y_j} P1 + deg_{y_j} P2): P1*P2 is a nonzero polynomial in y
+    over Q(x, t), and a nonzero polynomial does not vanish on a grid
+    prod_j S_j with |S_j| > deg_{y_j} (Alon, "Combinatorial Nullstellensatz",
+    1999, Lemma 2.1).
     """
     n = pair.n
-    for point in _grid_points(2 * n, bound):
-        x0, y0 = point[:n], point[n:]
-        if _restrict(pair.p1, n, x0, y0).is_zero():
+    zt = VarSpace.zt(n)
+    t = SparsePoly.variable(zt, "t")
+    minus_it = SparsePoly.variable(zt, "t", GQ_MINUS_I)
+    radius = max(pair.p1.degree_in(f"y{j}") + pair.p2.degree_in(f"y{j}")
+                 for j in range(1, n + 1))
+    for y0 in _grid_points(n, radius):
+        q1 = _restriction(pair.p1, y0, t)
+        if q1.is_zero():
             continue
-        if _restrict(pair.p2, n, x0, y0).is_zero():
+        q2 = _restriction(pair.p2, y0, minus_it)
+        if q2.is_zero():
             continue
-        return x0, y0
-    raise BasepointNotFound(f"no valid translation within max-norm {bound}")
+        return y0, q1, q2
+    raise KholoError(f"no basepoint within max-norm {radius}, against Alon's lemma")
 
 
 # -- the pipeline -------------------------------------------------------------
 
-def eliminate_annihilator(pair, bound=5):
-    """Run the full restriction / translation / resultant pipeline.
+def eliminate_annihilator(pair):
+    """Run the full restriction / resultant pipeline.
 
     A vanishing resultant is reported through the ``degenerate`` flag rather
     than an exception: the no-common-factor hypothesis can fail for user
     inputs.
     """
     n = pair.n
-    x0, y0 = search_basepoint(pair, bound)
+    y0, q1, q2 = search_basepoint(pair)
 
     zt = VarSpace.zt(n)
-    x_to_z = {f"x{j}": f"z{j}" for j in range(1, n + 1)}
-    x_to_z["t"] = "t"
-    q1 = rename_space(_restrict(pair.p1, n, x0, y0), zt, x_to_z)
-    q2_raw = rename_space(_restrict(pair.p2, n, x0, y0), zt, x_to_z)
-    q2 = substitute_variable(q2_raw, "t",
-                             SparsePoly.variable(zt, "t", GQ_MINUS_I))
-
     ztw = VarSpace.ztw(n)
-    into_aux = {f"z{j}": SparsePoly.variable(ztw, f"z{j}") for j in range(1, n + 1)}
+    # z -> z - i*y0 states the eliminant in the original coordinates
+    into_aux = {f"z{j}": (SparsePoly.variable(ztw, f"z{j}")
+                          - SparsePoly.constant(ztw, GaussianRational(0, y0[j - 1])))
+                for j in range(1, n + 1)}
     into_aux["t"] = SparsePoly.variable(ztw, "w0")
     a = LinearSubst(zt, ztw, into_aux).apply(q1)
     into_shift = dict(into_aux)
@@ -238,26 +242,14 @@ def eliminate_annihilator(pair, bound=5):
                        - SparsePoly.variable(ztw, "w0"))
     b = LinearSubst(zt, ztw, into_shift).apply(q2)
 
-    resultant = sylvester_resultant(a, b, "w0")
-    degenerate = resultant.is_zero()
-
-    annihilator = resultant
-    if not degenerate and (any(x0) or any(y0)):
-        # express the eliminant in the original coordinates: z -> z - (x0 + i*y0)
-        back = {"t": SparsePoly.variable(zt, "t")}
-        for j in range(1, n + 1):
-            shift = GaussianRational(x0[j - 1], y0[j - 1])
-            back[f"z{j}"] = (SparsePoly.variable(zt, f"z{j}")
-                             - SparsePoly.constant(zt, shift))
-        annihilator = LinearSubst(zt, zt, back).apply(resultant)
-
+    annihilator = sylvester_resultant(a, b, "w0")
     return EliminationReport(
-        basepoint_x=tuple(map(Fraction, x0)),
+        basepoint_x=(Fraction(0),) * n,
         basepoint_y=tuple(map(Fraction, y0)),
         q1=q1,
         q2=q2,
         annihilator=annihilator,
-        degenerate=degenerate,
+        degenerate=annihilator.is_zero(),
     )
 
 

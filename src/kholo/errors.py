@@ -78,10 +78,6 @@ class DegreeZeroBoth(InputError):
     """Both resultant arguments are constant in the elimination variable."""
 
 
-class BasepointNotFound(InputError):
-    """No admissible translation point inside the search grid."""
-
-
 # -- branches ---------------------------------------------------------------
 
 class ZeroDegree(InputError):

@@ -13,7 +13,8 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 ``i`` is the imaginary unit literal.  A parenthesized exponent is tolerated
 so that ``x^(-1)`` reports NegativeExponent rather than a bare syntax error.
 A digit is a Unicode decimal digit (``str.isdecimal``), exactly what
-``int()`` reads, so ``²`` is an unexpected character.
+``int()`` reads, so ``²`` is an unexpected character wherever it stands,
+after a name (``x²``) too.
 
 Lowering builds one term map and keeps a budget: each product of two sums,
 also inside a power of a sum, may expand to at most
@@ -132,7 +133,7 @@ def _tokenize(text):
             continue
         if ch.isalpha():
             start = pos
-            while pos < length and text[pos].isalnum():
+            while pos < length and (text[pos].isalpha() or text[pos].isdecimal()):
                 pos += 1
             tokens.append(_Token("ident", text[start:pos], line, column))
             column += pos - start

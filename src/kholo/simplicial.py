@@ -436,23 +436,24 @@ class Subcomplex:
                 raise InvalidEndpoints(f"{label} vertex {idx!r} out of range")
         self.start = start
         self.end = end
-        closed = set()
-        for face in marked_faces:
-            face = tuple(sorted(face))
+        faces = [tuple(sorted(face)) for face in marked_faces]
+        for face in faces:
             if not face:
                 raise InvalidSubcomplex("empty face marked")
             if not complex_.is_face(face):
                 raise InvalidSubcomplex(f"{face} is not a face of the complex")
-            for d in range(len(face)):
-                closed.update(combinations(face, d + 1))
+        # checked before closing: every subface of an accepted face is then
+        # valid, and a marked top never expands into its 2^(n+1) subfaces
         n = complex_.dim
-        for face in closed:
-            if face in ((start,), (end,)):
-                continue
-            if len(face) - 1 > n - 2:
+        for face in faces:
+            if len(face) - 1 > n - 2 and face not in ((start,), (end,)):
                 raise InvalidSubcomplex(
                     f"marked face {face} has dimension {len(face) - 1}; "
                     f"must be at most {n - 2}")
+        closed = set()
+        for face in faces:
+            for d in range(len(face)):
+                closed.update(combinations(face, d + 1))
         self.marked = tuple(sorted(closed))
 
 

@@ -75,6 +75,24 @@ def split_matches_evaluation(f, re_part, im_part, rng, samples=5):
     return True
 
 
+# -- floating-point evaluation ----------------------------------------------------
+
+def _to_complex(c):
+    return float(c.re) + 1j * float(c.im)
+
+
+def evaluate_complex(p, point):
+    """Floating-point value of p at a complex assignment {name: complex}."""
+    total = 0j
+    for exps, coeff in p._terms.items():
+        term = _to_complex(coeff)
+        for k, e in enumerate(exps):
+            if e:
+                term *= point[p.space.names[k]] ** e
+        total += term
+    return total
+
+
 # -- simplicial helpers ------------------------------------------------------------
 
 def grid_complex(rows, cols, diagonals=None):

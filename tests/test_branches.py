@@ -1,16 +1,15 @@
-"""Discriminants, locus membership, and numeric fiber counting."""
+"""Discriminants, locus membership, and exact fiber counting."""
 
 from fractions import Fraction
 
 import pytest
-from support import random_gq, random_poly, seeded
+from support import evaluate_complex, random_gq, random_poly, seeded
 
 from kholo.branches import (
     aberth_roots,
     covering_check,
     discriminant,
     distinct_root_count_exact,
-    evaluate_complex,
     fiber_count,
     locus_membership,
 )
@@ -124,13 +123,15 @@ def test_fiber_count_leading_coefficient_check():
         fiber_count(p, (GaussianRational(0),))
 
 
-def test_exact_distinct_count_matches_numeric_off_locus():
-    # the numeric count is only contractual off the locus; near a multiple
-    # root float evaluation hits the sqrt(eps) barrier and the exact gcd
-    # route is the authority
+def test_covering_counts_match_exact_distinct_count():
+    # covering_check proves its counts from lc(z0) != 0 and disc(z0) != 0;
+    # the Euclidean count over Q(i) must agree at every accepted point,
+    # also where the coefficients are far beyond the float range
     rng = seeded(42)
     p_family = [zt("t^2 - z1"), zt("t^3 - z1"), zt("t^2 + 2*t - z1"),
-                zt("t^2 - z1*z2", n=2), zt("(t^2 - z1)*(t - 3)")]
+                zt("t^2 - z1*z2", n=2), zt("(t^2 - z1)*(t - 3)"),
+                zt("t^2 - 10^400*z1")]
+    checked = 0
     for p in p_family:
         base = p.space.drop("t")
         d = discriminant(p, "t")
@@ -142,7 +143,29 @@ def test_exact_distinct_count_matches_numeric_off_locus():
                 continue
             if locus_membership(d, dict(zip(base.names, z0))):
                 continue
-            assert fiber_count(p, z0) == distinct_root_count_exact(p, z0)
+            report = covering_check(p, [z0])
+            assert report.samples[0].fiber_count == distinct_root_count_exact(p, z0)
+            assert report.covering_degree == p.degree_in("t")
+            checked += 1
+    assert checked >= 50
+
+
+def test_fiber_count_is_the_exact_count():
+    assert fiber_count is distinct_root_count_exact
+
+
+def test_no_pipeline_reaches_the_float_root_finder(monkeypatch, capsys):
+    import kholo.branches
+    from kholo.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("aberth_roots was called")
+
+    monkeypatch.setattr(kholo.branches, "aberth_roots", refuse)
+    assert main(["fibers", "-n", "1", "t^2 - 10^400*z1", "1; 2"]) == 0
+    assert main(["fibers", "-n", "2", "t^3 - z1*t + z2", "1,1; 2,i; 1+i,3"]) == 0
+    assert main(["selftest", "--seed", "0"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_on_locus_counting_for_exact_specializations():

@@ -77,7 +77,6 @@ CASES = [
     ("eliminate-no-t", ["eliminate", "-n", "1", "x", "y"], None),
     ("eliminate-p1-no-t", ["eliminate", "-n", "1", "x", "t - 2*x*y"], None),
     ("eliminate-p2-no-t", ["eliminate", "-n", "1", "t - x^2 + y^2", "y"], None),
-    ("eliminate-no-basepoint", ["eliminate", "-n", "1", "--bound", "0", "y*t", "t"], None),
     ("eliminate-restriction-vanishes-at-origin", ["eliminate", "-n", "1", "y*t", "t"], None),
     ("eliminate-unknown-variable", ["eliminate", "-n", "1", "t - z1", "t"], None),
     # discriminant

@@ -1,11 +1,12 @@
 """Resultants, basepoint search, and the annihilator pipeline."""
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
-from support import laplace_det, random_poly, seeded
+from support import evaluate_complex, laplace_det, random_poly, seeded
 
-from kholo.branches import evaluate_complex
 from kholo.eliminate import (
     AnnihilatorPair,
     bareiss_determinant,
@@ -15,9 +16,10 @@ from kholo.eliminate import (
     sylvester_resultant,
     verify_annihilator,
 )
-from kholo.errors import BasepointNotFound, DegreeZeroBoth, ZeroDegree, ZeroInput
+from kholo.errors import DegreeZeroBoth, ZeroDegree, ZeroInput
 from kholo.exprio import parse_poly
 from kholo.polynomials import (
+    LinearSubst,
     SparsePoly,
     VarSpace,
     rename_space,
@@ -25,7 +27,7 @@ from kholo.polynomials import (
     try_divide,
     univariate_coefficients,
 )
-from kholo.rationals import GaussianRational
+from kholo.rationals import GQ_MINUS_I, GaussianRational
 
 ZTW2 = VarSpace.ztw(2)
 ZT1 = VarSpace.zt(1)
@@ -209,26 +211,128 @@ def _uni_resultant(ca, cb):
 
 def test_basepoint_trivial():
     pair = AnnihilatorPair(p1=xyt("t - x^2 + y^2"), p2=xyt("t - 2*x*y"), n=1)
-    assert search_basepoint(pair) == ((0,), (0,))
+    assert search_basepoint(pair) == ((0,), zt("t - z1^2"), zt("-i*t"))
 
 
 def test_basepoint_constant_restriction_is_valid():
-    # P1(x, 0, t) = -1 is zero-degree but nonzero, so (0, 0) works
+    # P1(x, 0, t) = -1 is zero-degree but nonzero, so y0 = 0 works
     pair = AnnihilatorPair(p1=xyt("y*t - 1"), p2=xyt("t - x"), n=1)
-    assert search_basepoint(pair) == ((0,), (0,))
+    assert search_basepoint(pair)[0] == (0,)
 
 
 def test_basepoint_needs_translation():
-    # P1(x, 0, t) = 0; first grid point with nonzero y0 is (-1, -1)
+    # P1(x, 0, t) = 0; the first y0 of max-norm 1 is -1
     pair = AnnihilatorPair(p1=xyt("y*t"), p2=xyt("t"), n=1)
-    assert search_basepoint(pair) == ((-1,), (-1,))
+    assert search_basepoint(pair) == ((-1,), zt("-t"), zt("-i*t"))
 
 
-def test_basepoint_not_found():
-    pair = AnnihilatorPair(p1=xyt("y*t"), p2=xyt("t"), n=1)
-    with pytest.raises(BasepointNotFound):
-        # bound 0 leaves only the origin, which is invalid here
-        search_basepoint(pair, bound=0)
+def test_basepoint_within_the_nullstellensatz_radius():
+    # y*(y - 1)*(y + 1) vanishes on [-1, 1], so y0 = -2 at radius D = 3
+    pair = AnnihilatorPair(p1=xyt("y*(y - 1)*(y + 1)*t"), p2=xyt("t"), n=1)
+    assert search_basepoint(pair)[0] == (-2,)
+    # P1*P2 vanishes on the axes and the diagonal of [-1, 1]^2; D = 2
+    pair = AnnihilatorPair(p1=parse_poly("y1*y2*t", VarSpace.xyt(2)),
+                           p2=parse_poly("(y1 - y2)*t", VarSpace.xyt(2)), n=2)
+    assert search_basepoint(pair)[0] == (-1, 1)
+
+
+# -- oracle: the 2n-dimensional search over (x0, y0) that search_basepoint replaced --
+
+def _oracle_grid(dim, bound):
+    yield (0,) * dim
+    for radius in range(1, bound + 1):
+        for point in product(range(-radius, radius + 1), repeat=dim):
+            if max(map(abs, point)) == radius:
+                yield point
+
+
+def _oracle_restrict(p, n, x0, y0):
+    """P(x + x0, y0, t) as a polynomial in (x, t)."""
+    target = VarSpace.xt(n)
+    images = {"t": SparsePoly.variable(target, "t")}
+    for j in range(1, n + 1):
+        images[f"x{j}"] = (SparsePoly.variable(target, f"x{j}")
+                           + SparsePoly.constant(target, x0[j - 1]))
+        images[f"y{j}"] = SparsePoly.constant(target, y0[j - 1])
+    return LinearSubst(p.space, target, images).apply(p)
+
+
+def _oracle_eliminate(pair, bound=5):
+    """(y0, degenerate, annihilator) by the grid search and back-translation."""
+    n = pair.n
+    for point in _oracle_grid(2 * n, bound):
+        x0, y0 = point[:n], point[n:]
+        r1 = _oracle_restrict(pair.p1, n, x0, y0)
+        r2 = _oracle_restrict(pair.p2, n, x0, y0)
+        if not r1.is_zero() and not r2.is_zero():
+            break
+    else:
+        raise AssertionError("the oracle found no basepoint")
+    zt_ = VarSpace.zt(n)
+    x_to_z = {f"x{j}": f"z{j}" for j in range(1, n + 1)}
+    x_to_z["t"] = "t"
+    q1 = rename_space(r1, zt_, x_to_z)
+    q2 = substitute_variable(rename_space(r2, zt_, x_to_z), "t",
+                             SparsePoly.variable(zt_, "t", GQ_MINUS_I))
+    ztw_ = VarSpace.ztw(n)
+    into_aux = {f"z{j}": SparsePoly.variable(ztw_, f"z{j}") for j in range(1, n + 1)}
+    into_aux["t"] = SparsePoly.variable(ztw_, "w0")
+    into_shift = dict(into_aux)
+    into_shift["t"] = SparsePoly.variable(ztw_, "t") - SparsePoly.variable(ztw_, "w0")
+    resultant = sylvester_resultant(LinearSubst(zt_, ztw_, into_aux).apply(q1),
+                                    LinearSubst(zt_, ztw_, into_shift).apply(q2), "w0")
+    if resultant.is_zero() or not (any(x0) or any(y0)):
+        return y0, resultant.is_zero(), resultant
+    back = {"t": SparsePoly.variable(zt_, "t")}
+    for j in range(1, n + 1):
+        back[f"z{j}"] = (SparsePoly.variable(zt_, f"z{j}")
+                         - SparsePoly.constant(zt_, GaussianRational(x0[j - 1], y0[j - 1])))
+    return y0, False, LinearSubst(zt_, zt_, back).apply(resultant)
+
+
+_Y_FACTORS = {
+    1: ["y1", "y1 - 1", "y1 + 1", "x1*y1", "y1^2 + y1", "y1^2 - 1"],
+    2: ["y1", "y2", "y1 - y2", "y1*y2 + y2", "y1^2 + y2^2", "y2 - 1", "y1^2 - 1",
+        "x1*y2 - x2*y1"],
+}
+
+
+def _random_real_with_t(n, rng):
+    space = VarSpace.xyt(n)
+    while True:
+        p = random_poly(space, rng, max_degree=2, max_terms=4, real=True)
+        if p.degree_in("t") > 0:
+            return p
+
+
+def _pair_with_y_factors(rng):
+    n = rng.choice([1, 2])
+    if rng.random() < 0.5:
+        pair = pair_from_split(random_poly(VarSpace.z(n), rng, max_degree=2, max_terms=3))
+        p1, p2 = pair.p1, pair.p2
+    else:
+        p1, p2 = _random_real_with_t(n, rng), _random_real_with_t(n, rng)
+    factors = [parse_poly(text, VarSpace.xyt(n)) for text in _Y_FACTORS[n]]
+    for _ in range(rng.randint(0, 2)):
+        p1 = p1 * rng.choice(factors)
+    for _ in range(rng.randint(0, 1)):
+        p2 = p2 * rng.choice(factors)
+    return AnnihilatorPair(p1=p1, p2=p2, n=n)
+
+
+def test_basepoint_and_annihilator_match_the_grid_oracle():
+    rng = seeded(36)
+    translated = 0
+    for _ in range(320):
+        pair = _pair_with_y_factors(rng)
+        y0, degenerate, annihilator = _oracle_eliminate(pair)
+        report = eliminate_annihilator(pair)
+        assert report.basepoint_x == (Fraction(0),) * pair.n
+        assert report.basepoint_y == y0
+        assert report.degenerate == degenerate
+        assert report.annihilator == annihilator
+        translated += any(y0)
+    assert translated >= 100
 
 
 # -- the pipeline -------------------------------------------------------------------

@@ -106,6 +106,23 @@ def test_marked_facet_rejected():
         Subcomplex(c, [(0, 2)], start=0, end=2)  # the diagonal is a facet
 
 
+def test_marked_face_too_large_is_named_as_marked():
+    # checked before the closure, so the message names the marked face itself
+    tetra = SimplicialComplex(dim=3, vertices=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                              top=[(0, 1, 2, 3)])
+    with pytest.raises(InvalidSubcomplex,
+                       match=r"^marked face \(0, 1, 2, 3\) has dimension 3; must be at most 1$"):
+        Subcomplex(tetra, [(3, 2, 1, 0)], start=0, end=1)
+    with pytest.raises(InvalidSubcomplex, match=r"^marked face \(0, 2, 3\) has dimension 2"):
+        Subcomplex(tetra, [(0, 1), (0, 2, 3)], start=0, end=1)
+    n = 14
+    simplex = SimplicialComplex(
+        dim=n, vertices=[(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)],
+        top=[tuple(range(n + 1))])
+    with pytest.raises(InvalidSubcomplex, match=rf"^marked face \({', '.join(map(str, range(n + 1)))}\) "):
+        Subcomplex(simplex, [tuple(range(n + 1))], start=0, end=1)
+
+
 def test_marked_faces_closed_under_subfaces():
     c = grid_complex(1, 1)
     sub = Subcomplex(c, [(1,), (3,)], start=0, end=2)
