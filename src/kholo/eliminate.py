@@ -190,15 +190,19 @@ def _restriction(p, y0, t_image):
 
 
 def search_basepoint(pair):
-    """First integer y0 making both restrictions nonzero, with the restrictions.
+    """First integer y0 where both restrictions keep t, with the restrictions.
 
-    Returns ``(y0, q1, q2)`` with q1 = P1(z, y0, t) and q2 = P2(z, y0, -i*t).
-    Walks y0 graded by max-norm, then lexicographically over [-r, r]^n, so
-    y0 = 0 wins when it is valid.  The walk always succeeds by radius
-    D = max_j(deg_{y_j} P1 + deg_{y_j} P2): P1*P2 is a nonzero polynomial in y
-    over Q(x, t), and a nonzero polynomial does not vanish on a grid
-    prod_j S_j with |S_j| > deg_{y_j} (Alon, "Combinatorial Nullstellensatz",
-    1999, Lemma 2.1).
+    Returns ``(y0, q1, q2)`` with q1 = P1(z, y0, t) and q2 = P2(z, y0, -i*t),
+    both of positive degree in t.  A restriction free of t annihilates no f1:
+    if P(x, y0, t) = c(x) != 0, then P(x, y0, f1(x, y0)) = c(x).  Walks y0
+    graded by max-norm, then lexicographically over [-r, r]^n, so y0 = 0 wins
+    when it is valid.  The walk always succeeds by radius
+    D = max_j(deg_{y_j} P1 + deg_{y_j} P2): lc_t(P1)*lc_t(P2) is a nonzero
+    polynomial in y over Q(x) with y_j-degree at most D, a nonzero polynomial
+    does not vanish on a grid prod_j S_j with |S_j| > deg_{y_j} (Alon,
+    "Combinatorial Nullstellensatz", 1999, Lemma 2.1), so some y0 of
+    max-norm <= D keeps both leading t-coefficients, and the first y0 where
+    both restrictions merely keep t comes no later.
     """
     n = pair.n
     zt = VarSpace.zt(n)
@@ -208,10 +212,10 @@ def search_basepoint(pair):
                  for j in range(1, n + 1))
     for y0 in _grid_points(n, radius):
         q1 = _restriction(pair.p1, y0, t)
-        if q1.is_zero():
+        if q1.degree_in("t") <= 0:
             continue
         q2 = _restriction(pair.p2, y0, minus_it)
-        if q2.is_zero():
+        if q2.degree_in("t") <= 0:
             continue
         return y0, q1, q2
     raise KholoError(f"no basepoint within max-norm {radius}, against Alon's lemma")

@@ -14,6 +14,9 @@ lexicographically with respect to the space's fixed variable order.
 
 import re as _re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, neg, sub
 
 from kholo.errors import (
     DegreeOverflow,
@@ -31,8 +34,11 @@ from kholo.rationals import (
     GQ_I,
     GQ_MINUS_I,
     GaussianRational,
+    _lowest,
+    _numerators,
     as_gaussian,
     terms_add,
+    terms_add_into,
     terms_mul,
     terms_scale,
     terms_sub,
@@ -311,7 +317,7 @@ class SparsePoly:
         return other - self
 
     def __neg__(self):
-        return SparsePoly(self.space, terms_scale(self._terms, as_gaussian(-1)))
+        return SparsePoly(self.space, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -362,16 +368,14 @@ class SparsePoly:
     def partial(self, name):
         """Formal partial derivative with respect to one variable."""
         k = self.space.index(name)
+        # lowering the k-th exponent is injective on the terms it keeps, so
+        # no two terms merge and no coefficient cancels
         terms = {}
-        for exps, coeff in self._terms.items():
+        for exps, c in self._terms.items():
             e = exps[k]
-            if e == 0:
-                continue
-            new = exps[:k] + (e - 1,) + exps[k + 1:]
-            c = coeff * e
-            prev = terms.get(new)
-            terms[new] = c if prev is None else prev + c
-        return SparsePoly(self.space, {e: c for e, c in terms.items() if c})
+            if e:
+                terms[exps[:k] + (e - 1,) + exps[k + 1:]] = _lowest(c.x * e, c.y * e, c.d)
+        return SparsePoly(self.space, terms)
 
     def eval(self, point):
         """Exact value at a full assignment {name: scalar}."""
@@ -450,7 +454,7 @@ class LinearSubst:
             for k, e in enumerate(exps):
                 if e:
                     prod = prod * power(k, e)
-            acc = terms_add(acc, terms_scale(prod._terms, coeff))
+            terms_add_into(acc, terms_scale(prod._terms, coeff))
         return SparsePoly(self.target, acc)
 
 
@@ -610,30 +614,69 @@ def exact_divide(p, d):
     return q
 
 
+def _heap_key(exps):
+    # graded-lex descending order as a min-heap order; keys add like exponents
+    return (-sum(exps), *map(neg, exps))
+
+
 def try_divide(p, d):
     """Quotient p / d when d divides p exactly, else None.
 
     Leading-term cancellation in graded-lex order; valid because lt(q*d) =
-    lt(q)*lt(d) for any multiplicative monomial order.
+    lt(q)*lt(d) for any multiplicative monomial order.  The remainder is one
+    dict, keyed by ``_heap_key`` and updated in place, with a heap of its
+    keys: each quotient term pops the leading key and subtracts its multiple
+    of d's other |d| - 1 terms.  A key whose coefficient cancels stays in the
+    heap and is skipped when popped.  Remainder coefficients are kept as
+    unreduced numerators [x, y, den] and reduced once, when they lead and
+    become a quotient coefficient.
     """
     if p.space != d.space:
         raise SpaceMismatch(f"{p.space} vs {d.space}")
     if d.is_zero():
         raise InexactDivision("division by the zero polynomial")
+    # d = D/den with Gaussian-integer coefficients (x + y*i) in D
+    den, d_terms = _numerators(d._terms)
+    d_keys = sorted((_heap_key(e), x, y) for e, x, y in d_terms)
+    (lead, lx, ly), tail = d_keys[0], d_keys[1:]
+    norm = lx * lx + ly * ly
+    rest = {_heap_key(e): [c.x, c.y, c.d] for e, c in p._terms.items()}
+    heap = list(rest)
+    heapify(heap)
     quotient = {}
-    rest = dict(p._terms)
-
-    def leading(terms):
-        return max(terms, key=lambda e: (sum(e), e))
-
-    d_lead = leading(d._terms)
-    d_lead_coeff = d._terms[d_lead]
-    while rest:
-        r_lead = leading(rest)
-        exps = tuple(a - b for a, b in zip(r_lead, d_lead))
-        if any(e < 0 for e in exps):
+    while heap:
+        key = heappop(heap)
+        r = rest.pop(key, None)
+        if r is None:
+            continue
+        q_key = tuple(map(sub, key, lead))
+        if max(q_key) > 0:
             return None
-        coeff = rest[r_lead] / d_lead_coeff
-        quotient[exps] = coeff
-        rest = terms_sub(rest, terms_mul({exps: coeff}, d._terms))
-    return SparsePoly(p.space, quotient)
+        # q = r / lc(d) = r * den * (lx - ly*i) / norm
+        rx, ry, rd = r
+        q = _lowest((rx * lx + ry * ly) * den, (ry * lx - rx * ly) * den, rd * norm)
+        quotient[q_key] = q
+        # rest -= q * (D - lt(D)) / den over the lcm of the two denominators
+        qx, qy, qd = q.x, q.y, q.d * den
+        for t_key, tx, ty in tail:
+            m = tuple(map(add, q_key, t_key))
+            px = qx * tx - qy * ty
+            py = qx * ty + qy * tx
+            old = rest.get(m)
+            if old is None:
+                rest[m] = [-px, -py, qd]
+                heappush(heap, m)
+                continue
+            od = old[2]
+            if od == qd:
+                old[0] -= px
+                old[1] -= py
+            else:
+                g = gcd(od, qd)
+                up, down = qd // g, od // g
+                old[0] = old[0] * up - px * down
+                old[1] = old[1] * up - py * down
+                old[2] = od * up
+            if not (old[0] or old[1]):
+                del rest[m]
+    return SparsePoly(p.space, {tuple(map(neg, key[1:])): c for key, c in quotient.items()})

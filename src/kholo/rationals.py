@@ -12,7 +12,8 @@ is canonical, so equality and hashing compare the integers directly.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from kholo.errors import DivisionByZero
 
@@ -198,12 +199,15 @@ def gaussian(re, im=0):
 
 # -- term-map kernels ---------------------------------------------------------
 #
-# A term map is a dict {exponent tuple: nonzero GaussianRational}.  These four
+# A term map is a dict {exponent tuple: nonzero GaussianRational}.  These
 # functions carry the polynomial ring arithmetic; everything above them in the
-# toolkit is per-term bookkeeping.
+# toolkit is per-term bookkeeping.  The products never go through the
+# GaussianRational operators: a kernel brings each side over the lcm of its
+# denominators, accumulates the Gaussian-integer numerators in plain ints and
+# normalizes once per output term with ``_lowest``.
 
-def terms_add(a, b):
-    out = dict(a)
+def terms_add_into(out, b):
+    """Add the term map b into out, in place."""
     for e, c in b.items():
         prev = out.get(e)
         if prev is None:
@@ -214,6 +218,11 @@ def terms_add(a, b):
                 out[e] = s
             else:
                 del out[e]
+
+
+def terms_add(a, b):
+    out = dict(a)
+    terms_add_into(out, b)
     return out
 
 
@@ -235,7 +244,22 @@ def terms_sub(a, b):
 def terms_scale(a, c):
     if not c:
         return {}
-    return {e: coeff * c for e, coeff in a.items()}
+    cx, cy, cd = c.x, c.y, c.d
+    out = {}
+    for e, v in a.items():
+        x, y = v.x, v.y
+        out[e] = _lowest(x * cx - y * cy, x * cy + y * cx, v.d * cd)
+    return out
+
+
+def _numerators(a):
+    """(L, [(e, x, y)]) with each coefficient of a equal to (x + y*i)/L.
+
+    L is the lcm of the denominators of a, so the numerators stay as small as
+    one common denominator allows.
+    """
+    den = lcm(*{c.d for c in a.values()})
+    return den, [(e, c.x * (den // c.d), c.y * (den // c.d)) for e, c in a.items()]
 
 
 def terms_mul(a, b):
@@ -243,20 +267,25 @@ def terms_mul(a, b):
         return {}
     if len(a) < len(b):
         a, b = b, a
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
+    da, rows = _numerators(a)
+    db, cols = _numerators(b)
+    re = {}
+    im = {}
+    for ea, xa, ya in rows:
+        for eb, xb, yb in cols:
+            e = tuple(map(add, ea, eb))
+            if e in re:
+                re[e] += xa * xb - ya * yb
+                im[e] += xa * yb + ya * xb
             else:
-                s = prev + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+                re[e] = xa * xb - ya * yb
+                im[e] = xa * yb + ya * xb
+    d = da * db
+    out = {}
+    for e, x in re.items():
+        y = im[e]
+        if x or y:
+            out[e] = _lowest(x, y, d)
     return out
 
 
@@ -272,6 +301,7 @@ __all__ = [
     "as_gaussian",
     "gaussian",
     "terms_add",
+    "terms_add_into",
     "terms_mul",
     "terms_scale",
     "terms_sub",

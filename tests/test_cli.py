@@ -66,6 +66,15 @@ def test_eliminate_document(capsys):
     assert doc["result"]["annihilator"]["text"] == "(i)*z1^2 + (-i)*t"
 
 
+@pytest.mark.parametrize("p2, annihilator", [("t", "(i)*t + (-i)"),
+                                               ("y*t + 1", "(-i)*t + (-1+i)")])
+def test_eliminate_skips_a_restriction_free_of_t(capsys, p2, annihilator):
+    # y = 0 turns y*t + 1 into 1, which annihilates nothing
+    code, out, err = run(capsys, "eliminate", "-n", "1", "--format", "plain",
+                         "y*t + 1", p2)
+    assert (code, out, err) == (0, annihilator + "\n", "")
+
+
 def test_discriminant_plain(capsys):
     code, out, _ = run(capsys, "discriminant", "-n", "1", "--format", "plain",
                        "t^2 - z1")

@@ -214,10 +214,10 @@ def test_basepoint_trivial():
     assert search_basepoint(pair) == ((0,), zt("t - z1^2"), zt("-i*t"))
 
 
-def test_basepoint_constant_restriction_is_valid():
-    # P1(x, 0, t) = -1 is zero-degree but nonzero, so y0 = 0 works
+def test_basepoint_skips_a_restriction_free_of_t():
+    # P1(x, 0, t) = -1 is nonzero but free of t, so y0 = 0 is skipped
     pair = AnnihilatorPair(p1=xyt("y*t - 1"), p2=xyt("t - x"), n=1)
-    assert search_basepoint(pair)[0] == (0,)
+    assert search_basepoint(pair) == ((-1,), zt("-t - 1"), zt("-i*t - z1"))
 
 
 def test_basepoint_needs_translation():
@@ -264,7 +264,7 @@ def _oracle_eliminate(pair, bound=5):
         x0, y0 = point[:n], point[n:]
         r1 = _oracle_restrict(pair.p1, n, x0, y0)
         r2 = _oracle_restrict(pair.p2, n, x0, y0)
-        if not r1.is_zero() and not r2.is_zero():
+        if r1.degree_in("t") > 0 and r2.degree_in("t") > 0:
             break
     else:
         raise AssertionError("the oracle found no basepoint")
@@ -393,6 +393,15 @@ def test_end_to_end_random():
 def test_verify_annihilator_goldens():
     assert verify_annihilator(zt("-i*(t - z1^2)"), parse_poly("z1^2", VarSpace.z(1)))
     assert not verify_annihilator(zt("t - z1"), parse_poly("z1^2", VarSpace.z(1)))
+
+
+@pytest.mark.parametrize("p2, f", [("t", "1"), ("y*t + 1", "1 + i")])
+def test_eliminate_skips_restrictions_free_of_t(p2, f):
+    # P1 = y*t + 1 annihilates f1 = -1/y but restricts to 1, free of t, at y = 0
+    report = eliminate_annihilator(AnnihilatorPair(p1=xyt("y*t + 1"), p2=xyt(p2), n=1))
+    assert report.basepoint_y == (-1,)
+    # on the line Im z = -1, f1 = -1/y and f2 (0 or -1/y) are constants
+    assert verify_annihilator(report.annihilator, parse_poly(f, VarSpace.z(1)))
 
 
 def test_annihilator_pair_validation():
