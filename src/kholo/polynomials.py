@@ -35,7 +35,6 @@ from kholo.rationals import (
     GQ_MINUS_I,
     GaussianRational,
     _lowest,
-    _numerators,
     as_gaussian,
     terms_add,
     terms_add_into,
@@ -635,10 +634,8 @@ def try_divide(p, d):
         raise SpaceMismatch(f"{p.space} vs {d.space}")
     if d.is_zero():
         raise InexactDivision("division by the zero polynomial")
-    # d = D/den with Gaussian-integer coefficients (x + y*i) in D
-    den, d_terms = _numerators(d._terms)
-    d_keys = sorted((_heap_key(e), x, y) for e, x, y in d_terms)
-    (lead, lx, ly), tail = d_keys[0], d_keys[1:]
+    d_keys = sorted((_heap_key(e), c.x, c.y, c.d) for e, c in d._terms.items())
+    (lead, lx, ly, ld), tail = d_keys[0], d_keys[1:]
     norm = lx * lx + ly * ly
     rest = {_heap_key(e): [c.x, c.y, c.d] for e, c in p._terms.items()}
     heap = list(rest)
@@ -652,28 +649,29 @@ def try_divide(p, d):
         q_key = tuple(map(sub, key, lead))
         if max(q_key) > 0:
             return None
-        # q = r / lc(d) = r * den * (lx - ly*i) / norm
+        # q = r / lc(d) = r * ld * (lx - ly*i) / norm
         rx, ry, rd = r
-        q = _lowest((rx * lx + ry * ly) * den, (ry * lx - rx * ly) * den, rd * norm)
+        q = _lowest((rx * lx + ry * ly) * ld, (ry * lx - rx * ly) * ld, rd * norm)
         quotient[q_key] = q
-        # rest -= q * (D - lt(D)) / den over the lcm of the two denominators
-        qx, qy, qd = q.x, q.y, q.d * den
-        for t_key, tx, ty in tail:
+        # rest -= q * (d - lt(d)), over the lcm of the two denominators
+        qx, qy, qd = q.x, q.y, q.d
+        for t_key, tx, ty, td in tail:
             m = tuple(map(add, q_key, t_key))
             px = qx * tx - qy * ty
             py = qx * ty + qy * tx
+            pd = qd * td
             old = rest.get(m)
             if old is None:
-                rest[m] = [-px, -py, qd]
+                rest[m] = [-px, -py, pd]
                 heappush(heap, m)
                 continue
             od = old[2]
-            if od == qd:
+            if od == pd:
                 old[0] -= px
                 old[1] -= py
             else:
-                g = gcd(od, qd)
-                up, down = qd // g, od // g
+                g = gcd(od, pd)
+                up, down = pd // g, od // g
                 old[0] = old[0] * up - px * down
                 old[1] = old[1] * up - py * down
                 old[2] = od * up

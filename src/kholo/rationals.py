@@ -12,7 +12,7 @@ is canonical, so equality and hashing compare the integers directly.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 from kholo.errors import DivisionByZero
@@ -201,10 +201,14 @@ def gaussian(re, im=0):
 #
 # A term map is a dict {exponent tuple: nonzero GaussianRational}.  These
 # functions carry the polynomial ring arithmetic; everything above them in the
-# toolkit is per-term bookkeeping.  The products never go through the
-# GaussianRational operators: a kernel brings each side over the lcm of its
-# denominators, accumulates the Gaussian-integer numerators in plain ints and
-# normalizes once per output term with ``_lowest``.
+# toolkit is per-term bookkeeping.  The products (here and in
+# ``polynomials.try_divide``) do not go through the GaussianRational
+# operators: each output term accumulates Gaussian-integer numerators in
+# plain ints over the lcm of the denominators of its own contributions, and
+# is normalized once, by ``_lowest``, when it is complete.  Contributions to
+# one term usually share a denominator, so the accumulation rarely takes a
+# gcd; a common denominator for a whole map would inflate every term with
+# the denominators of all the others.
 
 def terms_add_into(out, b):
     """Add the term map b into out, in place."""
@@ -252,38 +256,35 @@ def terms_scale(a, c):
     return out
 
 
-def _numerators(a):
-    """(L, [(e, x, y)]) with each coefficient of a equal to (x + y*i)/L.
-
-    L is the lcm of the denominators of a, so the numerators stay as small as
-    one common denominator allows.
-    """
-    den = lcm(*{c.d for c in a.values()})
-    return den, [(e, c.x * (den // c.d), c.y * (den // c.d)) for e, c in a.items()]
-
-
 def terms_mul(a, b):
     if not a or not b:
         return {}
     if len(a) < len(b):
         a, b = b, a
-    da, rows = _numerators(a)
-    db, cols = _numerators(b)
-    re = {}
-    im = {}
-    for ea, xa, ya in rows:
-        for eb, xb, yb in cols:
+    cols = [(e, c.x, c.y, c.d) for e, c in b.items()]
+    acc = {}
+    for ea, ca in a.items():
+        xa, ya, da = ca.x, ca.y, ca.d
+        for eb, xb, yb, db in cols:
             e = tuple(map(add, ea, eb))
-            if e in re:
-                re[e] += xa * xb - ya * yb
-                im[e] += xa * yb + ya * xb
+            x = xa * xb - ya * yb
+            y = xa * yb + ya * xb
+            d = da * db
+            s = acc.get(e)
+            if s is None:
+                acc[e] = [x, y, d]
+            elif s[2] == d:
+                s[0] += x
+                s[1] += y
             else:
-                re[e] = xa * xb - ya * yb
-                im[e] = xa * yb + ya * xb
-    d = da * db
+                sd = s[2]
+                g = gcd(sd, d)
+                up, down = d // g, sd // g
+                s[0] = s[0] * up + x * down
+                s[1] = s[1] * up + y * down
+                s[2] = sd * up
     out = {}
-    for e, x in re.items():
-        y = im[e]
+    for e, (x, y, d) in acc.items():
         if x or y:
             out[e] = _lowest(x, y, d)
     return out

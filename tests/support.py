@@ -3,14 +3,17 @@
 The oracles here deliberately avoid the code paths they are used to check:
 the determinant oracle is cofactor expansion, never Bareiss; the adjacency
 oracle enumerates simplex pairs directly; the splitting oracle compares
-evaluations instead of expansions.  The corpus generators are the ones
+evaluations instead of expansions; the term-map oracles multiply and divide
+through the GaussianRational operators, one reduction per operation.  The corpus generators are the ones
 ``kholo selftest`` draws from, re-exported here.
 """
 
 import random
+from fractions import Fraction
 
+from kholo.errors import InexactDivision
 from kholo.polynomials import SparsePoly
-from kholo.rationals import GaussianRational
+from kholo.rationals import GaussianRational, terms_sub
 from kholo.selftest import random_fraction, random_gq, random_poly  # noqa: F401
 from kholo.simplicial import SimplicialComplex
 
@@ -57,6 +60,77 @@ def laplace_det(rows):
     return minor(0, tuple(range(size)))
 
 
+# -- term-map oracles -------------------------------------------------------------
+
+def random_term_map(rng, width, size, huge=False):
+    """Up to ``size`` terms of degree <= 3 per variable, mixed denominators.
+
+    ``huge`` draws numerators past 10^400 over denominators past 10^400.
+    """
+    def part():
+        if huge:
+            return Fraction(rng.randint(-10**420, 10**420), rng.randint(1, 10**410))
+        return random_fraction(rng)
+
+    out = {}
+    for _ in range(size):
+        c = GaussianRational(part(), part())
+        if c:
+            out[tuple(rng.randint(0, 3) for _ in range(width))] = c
+    return out
+
+
+def terms_mul_oracle(a, b):
+    """Schoolbook product of two term maps, one GaussianRational sum per pair."""
+    if not a or not b:
+        return {}
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+            else:
+                s = prev + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def try_divide_oracle(p, d):
+    """p / d by leading-term cancellation, or None when d does not divide p.
+
+    Finds the remainder's leading term with max() and rebuilds the remainder
+    for every quotient term, so it is quadratic in the quotient's size.
+    """
+    if d.is_zero():
+        raise InexactDivision("division by the zero polynomial")
+    divisor = dict(d.terms())
+    quotient = {}
+    rest = dict(p.terms())
+
+    def leading(terms):
+        return max(terms, key=lambda e: (sum(e), e))
+
+    d_lead = leading(divisor)
+    d_lead_coeff = divisor[d_lead]
+    while rest:
+        r_lead = leading(rest)
+        exps = tuple(a - b for a, b in zip(r_lead, d_lead))
+        if any(e < 0 for e in exps):
+            return None
+        coeff = rest[r_lead] / d_lead_coeff
+        quotient[exps] = coeff
+        rest = terms_sub(rest, terms_mul_oracle({exps: coeff}, divisor))
+    return SparsePoly.from_terms(p.space, quotient)
+
+
 # -- splitting oracle -------------------------------------------------------------
 
 def split_matches_evaluation(f, re_part, im_part, rng, samples=5):
@@ -84,7 +158,7 @@ def _to_complex(c):
 def evaluate_complex(p, point):
     """Floating-point value of p at a complex assignment {name: complex}."""
     total = 0j
-    for exps, coeff in p._terms.items():
+    for exps, coeff in p.terms():
         term = _to_complex(coeff)
         for k, e in enumerate(exps):
             if e:

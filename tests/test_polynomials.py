@@ -3,7 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from support import random_fraction, random_gq, random_poly, seeded, split_matches_evaluation
+from support import (
+    random_fraction,
+    random_gq,
+    random_poly,
+    random_term_map,
+    seeded,
+    split_matches_evaluation,
+    terms_mul_oracle,
+    try_divide_oracle,
+)
 
 from kholo.errors import (
     DegreeOverflow,
@@ -314,6 +323,29 @@ def test_exact_division_roundtrip_random():
         p = random_poly(space, rng, max_degree=3, max_terms=4)
         d = random_poly(space, rng, max_degree=2, max_terms=3)
         assert exact_divide(p * d, d) == p
+
+
+@pytest.mark.parametrize("divisor", ["constant", "monomial", "general"])
+def test_try_divide_matches_the_oracle(divisor):
+    rng = seeded(16)
+    space = VarSpace.zt(2)
+    inexact = 0
+    for trial in range(120):
+        huge = trial % 5 == 0
+        size = {"constant": 1, "monomial": 1, "general": rng.randint(2, 5)}[divisor]
+        d = random_term_map(rng, 3, size, huge) or {(0, 1, 0): GaussianRational(1)}
+        if divisor == "constant":
+            d = {(0, 0, 0): next(iter(d.values()))}
+        d = SparsePoly.from_terms(space, d)
+        q = random_term_map(rng, 3, rng.randint(0, 6), huge and trial % 2 == 0)
+        p = SparsePoly.from_terms(space, terms_mul_oracle(q, dict(d.terms())))
+        assert try_divide(p, d) == try_divide_oracle(p, d) == SparsePoly.from_terms(space, q)
+        # one more term usually leaves a remainder; both return None then
+        p = p + SparsePoly.from_terms(space, random_term_map(rng, 3, 1))
+        got = try_divide(p, d)
+        assert got == try_divide_oracle(p, d)
+        inexact += got is None
+    assert inexact >= {"constant": 0, "monomial": 40, "general": 80}[divisor]
 
 
 def test_inexact_division_detected():

@@ -3,7 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from support import assert_canonical_gq, random_gq, seeded
+from support import (
+    assert_canonical_gq,
+    random_gq,
+    random_term_map,
+    seeded,
+    terms_mul_oracle,
+)
 
 from kholo.errors import DivisionByZero
 from kholo.rationals import (
@@ -197,6 +203,28 @@ def test_term_kernels_match_schoolbook_oracle():
         for op, kernel in kernels.items():
             got = {e: _pair(c) for e, c in kernel(a, b).items()}
             assert got == _schoolbook(op, pa, pb)
+
+
+def test_terms_mul_matches_the_operator_oracle():
+    rng = seeded(84)
+    for trial in range(100):
+        width = rng.randint(1, 4)
+        a = random_term_map(rng, width, rng.randint(0, 8), huge=trial % 5 == 0)
+        b = random_term_map(rng, width, rng.randint(0, 8), huge=trial % 7 == 0)
+        got = terms_mul(a, b)
+        assert got == terms_mul_oracle(a, b)
+        for c in got.values():
+            assert c
+            assert_canonical_gq(c)
+        # (a + b)(a - b) = a^2 - b^2: the cross terms cancel to zero
+        assert (terms_mul(terms_add(a, b), terms_sub(a, b))
+                == terms_sub(terms_mul_oracle(a, a), terms_mul_oracle(b, b)))
+
+
+def test_terms_mul_of_an_empty_map_is_empty():
+    a = {(1, 0): GaussianRational(Fraction(1, 3), 2)}
+    assert terms_mul({}, a) == terms_mul(a, {}) == terms_mul({}, {}) == {}
+    assert terms_mul_oracle({}, a) == terms_mul_oracle(a, {}) == {}
 
 
 def test_cancellation_drops_terms_in_both():
