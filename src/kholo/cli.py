@@ -5,7 +5,10 @@ document (or a plain rendering with ``--format plain``) to standard output.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict (not
 pluriharmonic, degenerate resultant, no route),
-2 input error, 3 internal error.  A handler returns 0 or 1 for its verdict;
+2 input error, 3 internal error.  The degenerate resultant cannot happen:
+a common root rho(z) of q1(z, w0) and q2(z, t - w0) would make
+q2(z, t - rho) vanish for every t, yet q2 is nonzero.  Its exit-1 branch
+stays with the report field it reads.  A handler returns 0 or 1 for its verdict;
 an error's code is declared on its class in :mod:`kholo.errors`, so the CLI
 catches only ``KholoError`` and needs no list of error classes.
 """

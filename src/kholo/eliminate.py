@@ -72,8 +72,10 @@ class EliminationReport:
     The basepoint is (0, y0): whether a restriction vanishes does not depend
     on the x-translation, so ``basepoint_x`` is all zeros.  ``annihilator`` is
     Res_w0(q1(z - i*y0, w0), q2(z - i*y0, t - w0)), in the original
-    coordinates.  ``degenerate`` flags a vanishing resultant (the
-    restrictions shared a factor), in which case no annihilator was obtained.
+    coordinates.  ``degenerate`` flags a vanishing resultant and is always
+    False: q1 and q2 are nonzero, and a common root rho(z) of q1(z, w0) and
+    q2(z, t - w0) would make q2(z, t - rho) vanish for every t.  The field
+    stays so that the report schema does not change.
     """
 
     basepoint_x: tuple[Fraction, ...]
@@ -226,9 +228,8 @@ def search_basepoint(pair):
 def eliminate_annihilator(pair):
     """Run the full restriction / resultant pipeline.
 
-    A vanishing resultant is reported through the ``degenerate`` flag rather
-    than an exception: the no-common-factor hypothesis can fail for user
-    inputs.
+    The resultant never vanishes (see ``EliminationReport``), so
+    ``degenerate`` is always False.
     """
     n = pair.n
     y0, q1, q2 = search_basepoint(pair)

@@ -15,7 +15,6 @@ lexicographically with respect to the space's fixed variable order.
 import re as _re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 from operator import add, neg, sub
 
 from kholo.errors import (
@@ -34,6 +33,7 @@ from kholo.rationals import (
     GQ_I,
     GQ_MINUS_I,
     GaussianRational,
+    _add_over_lcm,
     _lowest,
     as_gaussian,
     terms_add,
@@ -665,16 +665,11 @@ def try_divide(p, d):
                 rest[m] = [-px, -py, pd]
                 heappush(heap, m)
                 continue
-            od = old[2]
-            if od == pd:
+            if old[2] == pd:
                 old[0] -= px
                 old[1] -= py
             else:
-                g = gcd(od, pd)
-                up, down = pd // g, od // g
-                old[0] = old[0] * up - px * down
-                old[1] = old[1] * up - py * down
-                old[2] = od * up
+                _add_over_lcm(old, -px, -py, pd)
             if not (old[0] or old[1]):
                 del rest[m]
     return SparsePoly(p.space, {tuple(map(neg, key[1:])): c for key, c in quotient.items()})

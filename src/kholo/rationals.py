@@ -210,6 +210,16 @@ def gaussian(re, im=0):
 # gcd; a common denominator for a whole map would inflate every term with
 # the denominators of all the others.
 
+def _add_over_lcm(s, x, y, d):
+    """s += (x + y*i)/d for an unreduced [x, y, den] s, over lcm(den, d)."""
+    sd = s[2]
+    g = gcd(sd, d)
+    up, down = d // g, sd // g
+    s[0] = s[0] * up + x * down
+    s[1] = s[1] * up + y * down
+    s[2] = sd * up
+
+
 def terms_add_into(out, b):
     """Add the term map b into out, in place."""
     for e, c in b.items():
@@ -277,12 +287,7 @@ def terms_mul(a, b):
                 s[0] += x
                 s[1] += y
             else:
-                sd = s[2]
-                g = gcd(sd, d)
-                up, down = d // g, sd // g
-                s[0] = s[0] * up + x * down
-                s[1] = s[1] * up + y * down
-                s[2] = sd * up
+                _add_over_lcm(s, x, y, d)
     out = {}
     for e, (x, y, d) in acc.items():
         if x or y:
