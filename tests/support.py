@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths they are used to check:
 the determinant oracle is cofactor expansion, never Bareiss; the adjacency
 oracle enumerates simplex pairs directly; the splitting oracle compares
 evaluations instead of expansions; the term-map oracles multiply and divide
-through the GaussianRational operators, one reduction per operation.  The corpus generators are the ones
-``kholo selftest`` draws from, re-exported here.
+through the GaussianRational operators, one reduction per operation.  The
+corpus generators are the ones ``kholo selftest`` draws from, re-exported
+here.
 """
 
 import random
