@@ -79,12 +79,24 @@ CASES = [
     ("eliminate-p2-no-t", ["eliminate", "-n", "1", "t - x^2 + y^2", "y"], None),
     ("eliminate-restriction-vanishes-at-origin", ["eliminate", "-n", "1", "y*t", "t"], None),
     ("eliminate-unknown-variable", ["eliminate", "-n", "1", "t - z1", "t"], None),
+    ("eliminate-cubic-quadratic-plain",
+     ["eliminate", "-n", "1", "--format", "plain", "t^3 - x*t + y", "t^2 - y"], None),
     # discriminant
     ("discriminant-doc", ["discriminant", "-n", "1", "t^2 - z1"], None),
     ("discriminant-n2-plain", ["discriminant", "-n", "2", "--format", "plain", "t^3 - z1*t + z2"], None),
     ("discriminant-other-variable", ["discriminant", "-n", "1", "-t", "z1", "t^2 - z1"], None),
     ("discriminant-unknown-fiber-variable", ["discriminant", "-n", "1", "-t", "q", "t^2 - z1"], None),
     ("discriminant-zero-degree", ["discriminant", "-n", "1", "z1 + 1"], None),
+    # remainder sequences with degree gaps, a z-dependent leading coefficient,
+    # a repeated factor and a derivative that is a monomial
+    ("discriminant-quintic-gap-plain",
+     ["discriminant", "-n", "1", "--format", "plain", "t^5 + z1*t + 1"], None),
+    ("discriminant-leading-z-plain",
+     ["discriminant", "-n", "1", "--format", "plain", "z1*t^3 + t + 1"], None),
+    ("discriminant-repeated-factor-plain",
+     ["discriminant", "-n", "2", "--format", "plain", "(t - z1)^2*(t - z2)"], None),
+    ("discriminant-binomial-plain",
+     ["discriminant", "-n", "1", "--format", "plain", "t^4 + z1"], None),
     # fibers
     ("fibers-doc", ["fibers", "-n", "1", "t^2 - z1", "1; 2; 1+i; -1"], None),
     ("fibers-plain", ["fibers", "-n", "1", "--format", "plain", "t^3 - z1", "1; 2"], None),

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from support import evaluate_complex, laplace_det, random_poly, seeded
+from support import evaluate_complex, laplace_det, random_gq, random_poly, seeded
 
 from kholo.eliminate import (
     AnnihilatorPair,
@@ -205,6 +205,84 @@ def _uni_resultant(ca, cb):
                 factor = rows[r][k] * inv
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[k])]
     return det
+
+
+# -- subresultant PRS vs the Bareiss reference ----------------------------------------
+
+def _w_space(n):
+    return VarSpace([f"z{j}" for j in range(1, n + 1)] + ["w0"], n)
+
+
+def _w(text):
+    return parse_poly(text, _w_space(1))
+
+
+def _assert_matches_bareiss(a, b):
+    """Both argument orders agree with the Sylvester determinant."""
+    for p, q in ((a, b), (b, a)):
+        expected = bareiss_determinant(sylvester_matrix(p, q, "w0"))
+        assert sylvester_resultant(p, q, "w0") == expected
+
+
+def _gappy_univariate(space, name, degree, rng):
+    """lead * w^degree plus two lower terms at random degrees.
+
+    Few terms leave the remainder sequence room to drop several degrees at
+    once (delta > 1).
+    """
+    lower = random_poly(space.drop(name), rng, max_degree=1, max_terms=2,
+                        allow_zero=True)
+    lead = random_poly(space.drop(name), rng, max_degree=1, max_terms=2)
+    w = SparsePoly.variable(space, name)
+    return (w ** degree * _lift(lead, space)
+            + w ** rng.randint(0, degree - 1) * _lift(lower, space)
+            + SparsePoly.constant(space, random_gq(rng)))
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, 5), (2, 3)])
+def test_prs_matches_bareiss_random(n, max_degree):
+    rng = seeded(40 + n)
+    space = _w_space(n)
+    for _ in range(20):
+        make = rng.choice([_random_univariate, _gappy_univariate])
+        a = make(space, "w0", rng.randint(1, max_degree), rng)
+        b = make(space, "w0", rng.randint(1, max_degree), rng)
+        _assert_matches_bareiss(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    # a degree gap: prem(a, a') has degree 1, so the next step has delta = 3
+    ("w0^5 + z1*w0 + 1", "5*w0^4 + z1"),
+    ("w0^5 + z1*w0 + 1", "w0^2 + z1"),
+    # polynomials in w0^2: every step drops two degrees, and the sequence
+    # ends at a constant after a remainder of degree 2
+    ("w0^4 + z1*w0^2 + 1", "z1*w0^2 + 1"),
+    ("w0^6 + z1*w0^2 - 1", "(z1 + 1)*w0^4 + w0^2 + z1"),
+    # z-dependent leading coefficients
+    ("z1*w0^3 + w0 + 1", "3*z1*w0^2 + 1"),
+    ("(z1 + i)*w0^4 - w0^2 + z1", "(2*z1 - 1)*w0^3 + z1*w0"),
+    # degree 1 on either side
+    ("w0 - z1", "w0^4 + z1*w0^3 - 2"),
+    ("z1*w0 + 1", "w0^2 - z1"),
+    # odd times odd: the sign flips with the argument order
+    ("w0^3 - z1*w0 + 1", "w0 + z1"),
+    ("w0^3 + z1", "w0^5 - w0 + z1^2"),
+    ("z1*w0^3 + w0^2 - 1", "w0^3 + (1 + i)*z1"),
+])
+def test_prs_matches_bareiss_examples(a, b):
+    _assert_matches_bareiss(_w(a), _w(b))
+
+
+def test_prs_is_zero_on_a_common_factor_random():
+    rng = seeded(43)
+    for n in (1, 2):
+        space = _w_space(n)
+        for _ in range(6):
+            c = _random_univariate(space, "w0", rng.randint(1, 2), rng)
+            a = c * _random_univariate(space, "w0", rng.randint(1, 2), rng)
+            b = c * _gappy_univariate(space, "w0", rng.randint(1, 3), rng)
+            assert sylvester_resultant(a, b, "w0").is_zero()
+            _assert_matches_bareiss(a, b)
 
 
 # -- basepoint search ---------------------------------------------------------------
