@@ -12,6 +12,13 @@ the doubled-variable polynomial
 
 where sigma conjugates coefficients, and verifies its two restriction
 identities and its holomorphy symbolically.
+
+All three steps run on one substitution kernel (``LinearSubst.apply``) and
+one Wirtinger kernel (``wirtinger``), each reducing every output coefficient
+once, and each step applies them as few times as its symmetry allows: g is
+the real part of the coefficients of f(z + i*w), one substitution, and the
+pluriharmonic check differentiates only j <= k, since for real u the (k, j)
+derivative is the coefficient conjugate of the (j, k) one.
 """
 
 from dataclasses import dataclass
@@ -23,6 +30,7 @@ from kholo.polynomials import (
     SparsePoly,
     VarSpace,
     conjugate_coefficients,
+    real_imag_coefficient_parts,
     require_real_coefficients,
     split_real_imag,
     to_real_coordinates,
@@ -80,19 +88,19 @@ def build_g(f):
     evaluating the coefficient-conjugated polynomial at the original
     arguments, so g has the closed form (f(z+iw) + sigma(f)(z-iw)) / 2 and
     lives in 2n complex variables.
+
+    Expanding (z - i*w)^a in place of (z + i*w)^a conjugates every binomial
+    term, so sigma(f)(z - i*w) is f(z + i*w) with its coefficients
+    conjugated, and the mean of the two is the real part of each
+    coefficient of f(z + i*w): one substitution and a coefficient split.
     """
     n = _require_z_space(f)
     target = VarSpace.zw(n)
     plus = {}
-    minus = {}
     for j in range(1, n + 1):
-        zj = SparsePoly.variable(target, f"z{j}")
-        wj = SparsePoly.variable(target, f"w{j}")
-        plus[f"z{j}"] = zj + wj.scale(GQ_I)
-        minus[f"z{j}"] = zj - wj.scale(GQ_I)
-    first = LinearSubst(f.space, target, plus).apply(f)
-    second = LinearSubst(f.space, target, minus).apply(conjugate_coefficients(f))
-    return (first + second).scale(_HALF)
+        plus[f"z{j}"] = (SparsePoly.variable(target, f"z{j}")
+                         + SparsePoly.variable(target, f"w{j}", GQ_I))
+    return real_imag_coefficient_parts(LinearSubst(f.space, target, plus).apply(f))[0]
 
 
 def restrict_g_identity(f):
@@ -162,17 +170,25 @@ def verify_g_holomorphic(f):
 def check_pluriharmonic(u):
     """True iff all mixed Wirtinger second derivatives of u vanish.
 
-    Computes d2 u / dz_j dzbar_k for 1 <= j, k <= n; a nonzero derivative is
-    returned as the witness (j, k, polynomial).
+    Checks d2 u / dz_j dzbar_k for 1 <= j, k <= n; a nonzero derivative is
+    returned as the witness (j, k, polynomial), in row-major (j, k) order.
+    The matrix is Hermitian: conjugating coefficients swaps d/dz and
+    d/dzbar, and u has real coefficients, so the (k, j) derivative is the
+    (j, k) one with its coefficients conjugated.  Only j <= k is
+    differentiated.
     """
     require_real_coefficients(u, "check_pluriharmonic")
     npairs = u.space.xy_pair_count()
-    witnesses = []
+    upper = {}
     for j in range(1, npairs + 1):
         dj = wirtinger(u, j, barred=False)
+        for k in range(j, npairs + 1):
+            upper[j, k] = wirtinger(dj, k, barred=True)
+    witnesses = []
+    for j in range(1, npairs + 1):
         for k in range(1, npairs + 1):
-            djk = wirtinger(dj, k, barred=True)
-            if not djk.is_zero():
+            djk = upper[j, k] if j <= k else conjugate_coefficients(upper[k, j])
+            if djk:
                 witnesses.append((j, k, djk))
     return (not witnesses), witnesses
 

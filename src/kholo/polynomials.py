@@ -15,10 +15,12 @@ lexicographically with respect to the space's fixed variable order.
 import re as _re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import comb
 from operator import add, neg, sub
 
 from kholo.errors import (
     DegreeOverflow,
+    ExpansionTooLarge,
     IncompleteAssignment,
     IncompleteSubstitution,
     IndexOutOfRange,
@@ -29,15 +31,14 @@ from kholo.errors import (
     UnknownVariable,
 )
 from kholo.rationals import (
-    GQ_HALF,
     GQ_I,
-    GQ_MINUS_I,
     GaussianRational,
+    _accumulate,
     _add_over_lcm,
     _lowest,
+    _reduced,
     as_gaussian,
     terms_add,
-    terms_add_into,
     terms_mul,
     terms_scale,
     terms_sub,
@@ -45,9 +46,10 @@ from kholo.rationals import (
 
 MAX_TOTAL_DEGREE = 10**6
 # The most terms one product of two sums may expand to while an expression is
-# read (kholo.exprio), also inside a power.  A term costs about 4 us at
-# perfbench's reference speed with small coefficients, and under 100 us with
-# 2,000-digit ones, so the largest accepted product stays under 1 s.
+# read (kholo.exprio), also inside a power, and the most term contributions
+# one LinearSubst.apply may add up.  A term costs about 4 us at perfbench's
+# reference speed with small coefficients, and under 100 us with 2,000-digit
+# ones, so the largest accepted product stays under 1 s.
 MAX_EXPANSION_TERMS = 10**4
 
 _NAME_RE = _re.compile(r"^([xyzw])([1-9][0-9]*)$")
@@ -68,14 +70,13 @@ def variable_kind(name):
 class VarSpace:
     """An ordered, kind-tagged variable list with n complex dimensions."""
 
-    __slots__ = ("names", "n", "_index")
+    __slots__ = ("names", "n", "_index", "_kinds")
 
     def __init__(self, names, n):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise UnknownVariable(f"duplicate variable names in {names}")
-        for name in names:
-            variable_kind(name)
+        self._kinds = tuple(map(variable_kind, names))
         self.names = names
         self.n = n
         self._index = {name: k for k, name in enumerate(names)}
@@ -148,15 +149,15 @@ class VarSpace:
         return VarSpace(self.names[:k] + self.names[k + 1:], self.n)
 
     def kinds(self):
-        return [variable_kind(name)[0] for name in self.names]
+        return [kind for kind, _ in self._kinds]
 
     def is_z_only(self):
-        return all(kind == "z" for kind in self.kinds())
+        return all(kind == "z" for kind, _ in self._kinds)
 
     def xy_pair_count(self):
         """Number of (x_j, y_j) pairs; raises unless the pairs are complete."""
-        xs = sorted(idx for kind, idx in map(variable_kind, self.names) if kind == "x")
-        ys = sorted(idx for kind, idx in map(variable_kind, self.names) if kind == "y")
+        xs = sorted(idx for kind, idx in self._kinds if kind == "x")
+        ys = sorted(idx for kind, idx in self._kinds if kind == "y")
         if xs != ys or xs != list(range(1, len(xs) + 1)):
             raise IndexOutOfRange(f"{self} does not carry complete x/y pairs")
         return len(xs)
@@ -422,6 +423,25 @@ class LinearSubst:
             self.images[name] = image
 
     def apply(self, p):
+        """p with every source variable replaced by its image.
+
+        The powers of the images that p uses are built once per call, by
+        products of term maps, and kept as rows (exps, x, y, d).  Each input
+        term folds its coefficient through the rows of its powers, one
+        variable after the other: a one-row power (a monomial image such as
+        z/2, or a constant) scales the partial rows, and a power of several
+        rows is multiplied in and merged into a dict for this term before
+        the next variable, so images with overlapping support (t -> t - w0
+        with z -> z - i*y0) cost polynomially many rows.  Every row adds
+        into one unreduced [x, y, den] accumulator per output term, and
+        each output coefficient is reduced once.
+
+        Refuses with ExpansionTooLarge, before building any power, when the
+        contributions would pass ``MAX_EXPANSION_TERMS``.  An image's terms
+        are distinct monomials of degree <= 1, so with r of them its e-th
+        power has exactly C(e + r - 1, e) terms, and an input term
+        contributes the product of the lengths of its powers.
+        """
         if p.space != self.source:
             raise SpaceMismatch(f"{p.space} vs substitution source {self.source}")
         needed = p.variables_present()
@@ -430,31 +450,65 @@ class LinearSubst:
                 raise IncompleteSubstitution(f"no image for {name!r}")
         if p.total_degree() > MAX_TOTAL_DEGREE:
             raise DegreeOverflow("input degree exceeds the supported bound")
-        one = SparsePoly.constant(self.target, 1)
+        images = [self.images[name]._terms if name in self.images else None
+                  for name in self.source.names]
+        count = 0
+        for exps in p._terms:
+            size = 1
+            for k, e in enumerate(exps):
+                if e:
+                    size *= comb(e + len(images[k]) - 1, e)
+            count += size
+        if count > MAX_EXPANSION_TERMS:
+            raise ExpansionTooLarge(
+                f"a change of variables into {self.target} expands to up to {count} "
+                f"terms, over the limit of {MAX_EXPANSION_TERMS}")
+
         powers = {}
+        tables = {}
 
         def power(k, e):
             key = (k, e)
             cached = powers.get(key)
             if cached is None:
+                image = images[k]
                 if e == 1:
-                    cached = self.images[p.space.names[k]]
+                    cached = image
+                elif len(image) < 2:
+                    cached = {tuple(a * e for a in exps): c ** e for exps, c in image.items()}
                 else:
                     half = power(k, e // 2)
-                    cached = half * half
+                    cached = terms_mul(half, half)
                     if e & 1:
-                        cached = cached * power(k, 1)
+                        cached = terms_mul(cached, image)
                 powers[key] = cached
             return cached
 
+        zero = (0,) * len(self.target.names)
         acc = {}
-        for exps, coeff in p._terms.items():
-            prod = one
+        for exps, c in p._terms.items():
+            rows = [(zero, c.x, c.y, c.d)]
             for k, e in enumerate(exps):
-                if e:
-                    prod = prod * power(k, e)
-            terms_add_into(acc, terms_scale(prod._terms, coeff))
-        return SparsePoly(self.target, acc)
+                if not e:
+                    continue
+                table = tables.get((k, e))
+                if table is None:
+                    table = [(te, tc.x, tc.y, tc.d) for te, tc in power(k, e).items()]
+                    tables[k, e] = table
+                if len(table) == 1:
+                    ((te, tx, ty, td),) = table
+                    rows = [(tuple(map(add, re, te)), rx * tx - ry * ty, rx * ty + ry * tx,
+                             rd * td) for re, rx, ry, rd in rows]
+                    continue
+                merged = {}
+                for re, rx, ry, rd in rows:
+                    for te, tx, ty, td in table:
+                        _accumulate(merged, tuple(map(add, re, te)), rx * tx - ry * ty,
+                                    rx * ty + ry * tx, rd * td)
+                rows = [(m, x, y, d) for m, (x, y, d) in merged.items()]
+            for m, x, y, d in rows:
+                _accumulate(acc, m, x, y, d)
+        return SparsePoly(self.target, _reduced(acc))
 
 
 # -- operations on top of the core type --------------------------------------
@@ -501,10 +555,11 @@ def real_imag_coefficient_parts(p):
     re_terms = {}
     im_terms = {}
     for exps, coeff in p._terms.items():
-        if coeff.x:
-            re_terms[exps] = GaussianRational(coeff.re)
-        if coeff.y:
-            im_terms[exps] = GaussianRational(coeff.im)
+        x, y, d = coeff.x, coeff.y, coeff.d
+        if x:
+            re_terms[exps] = _lowest(x, 0, d)
+        if y:
+            im_terms[exps] = _lowest(y, 0, d)
     return SparsePoly(p.space, re_terms), SparsePoly(p.space, im_terms)
 
 
@@ -549,15 +604,28 @@ def wirtinger(p, j, barred):
     """Wirtinger derivative d/dz_j (or d/dzbar_j when barred) on x/y space.
 
     d/dz_j = (d/dx_j - i d/dy_j)/2 and d/dzbar_j = (d/dx_j + i d/dy_j)/2;
-    both are linear and satisfy the Leibniz rule.
+    both are linear and satisfy the Leibniz rule.  One pass over the terms:
+    c*x_j^a*y_j^b adds a*c/2 at x_j^(a-1)*y_j^b and +-i*b*c/2 at
+    x_j^a*y_j^(b-1) as unreduced numerators, and each output coefficient
+    is reduced once.
     """
     npairs = p.space.xy_pair_count()
     if not 1 <= j <= npairs:
         raise IndexOutOfRange(f"index {j} outside 1..{npairs}")
-    dx = p.partial(f"x{j}")
-    dy = p.partial(f"y{j}")
-    unit = GQ_I if barred else GQ_MINUS_I
-    return (dx + dy.scale(unit)).scale(GQ_HALF)
+    kx = p.space.index(f"x{j}")
+    ky = p.space.index(f"y{j}")
+    # i*c = (-c.y + c.x*i)/c.d
+    sign = 1 if barred else -1
+    acc = {}
+    for exps, c in p._terms.items():
+        a = exps[kx]
+        b = exps[ky]
+        if a:
+            _accumulate(acc, exps[:kx] + (a - 1,) + exps[kx + 1:], a * c.x, a * c.y, 2 * c.d)
+        if b:
+            sb = sign * b
+            _accumulate(acc, exps[:ky] + (b - 1,) + exps[ky + 1:], -sb * c.y, sb * c.x, 2 * c.d)
+    return SparsePoly(p.space, _reduced(acc))
 
 
 def require_real_coefficients(p, where):

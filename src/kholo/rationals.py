@@ -201,14 +201,15 @@ def gaussian(re, im=0):
 #
 # A term map is a dict {exponent tuple: nonzero GaussianRational}.  These
 # functions carry the polynomial ring arithmetic; everything above them in the
-# toolkit is per-term bookkeeping.  The products (here and in
-# ``polynomials.try_divide``) do not go through the GaussianRational
-# operators: each output term accumulates Gaussian-integer numerators in
-# plain ints over the lcm of the denominators of its own contributions, and
-# is normalized once, by ``_lowest``, when it is complete.  Contributions to
-# one term usually share a denominator, so the accumulation rarely takes a
-# gcd; a common denominator for a whole map would inflate every term with
-# the denominators of all the others.
+# toolkit is per-term bookkeeping.  The products and the operators built on
+# them (here, and ``try_divide``, ``LinearSubst.apply`` and ``wirtinger`` in
+# ``kholo.polynomials``) do not go through the GaussianRational operators:
+# each output term accumulates Gaussian-integer numerators in plain ints over
+# the lcm of the denominators of its own contributions, and is normalized
+# once, by ``_lowest``, when it is complete.  Contributions to one term
+# usually share a denominator, so the accumulation rarely takes a gcd; a
+# common denominator for a whole map would inflate every term with the
+# denominators of all the others.
 
 def _add_over_lcm(s, x, y, d):
     """s += (x + y*i)/d for an unreduced [x, y, den] s, over lcm(den, d)."""
@@ -218,6 +219,23 @@ def _add_over_lcm(s, x, y, d):
     s[0] = s[0] * up + x * down
     s[1] = s[1] * up + y * down
     s[2] = sd * up
+
+
+def _accumulate(acc, e, x, y, d):
+    """acc[e] += (x + y*i)/d, kept as an unreduced [x, y, den] list."""
+    s = acc.get(e)
+    if s is None:
+        acc[e] = [x, y, d]
+    elif s[2] == d:
+        s[0] += x
+        s[1] += y
+    else:
+        _add_over_lcm(s, x, y, d)
+
+
+def _reduced(acc):
+    """The term map of an accumulator: each nonzero entry reduced once."""
+    return {e: _lowest(x, y, d) for e, (x, y, d) in acc.items() if x or y}
 
 
 def terms_add_into(out, b):
@@ -288,11 +306,7 @@ def terms_mul(a, b):
                 s[1] += y
             else:
                 _add_over_lcm(s, x, y, d)
-    out = {}
-    for e, (x, y, d) in acc.items():
-        if x or y:
-            out[e] = _lowest(x, y, d)
-    return out
+    return _reduced(acc)
 
 
 __all__ = [

@@ -4,17 +4,40 @@ The oracles here deliberately avoid the code paths they are used to check:
 the determinant oracle is cofactor expansion, never Bareiss; the adjacency
 oracle enumerates simplex pairs directly; the splitting oracle compares
 evaluations instead of expansions; the term-map oracles multiply and divide
-through the GaussianRational operators, one reduction per operation.  The
-corpus generators are the ones ``kholo selftest`` draws from, re-exported
+through the GaussianRational operators, one reduction per operation; the
+calculus oracles substitute by whole-polynomial products and differentiate by
+composing partials, and build g and the pluriharmonic check the long way.
+The corpus generators are the ones ``kholo selftest`` draws from, re-exported
 here.
 """
 
 import random
 from fractions import Fraction
 
-from kholo.errors import InexactDivision
-from kholo.polynomials import SparsePoly
-from kholo.rationals import GaussianRational, terms_sub
+from kholo.errors import (
+    DegreeOverflow,
+    IncompleteSubstitution,
+    IndexOutOfRange,
+    InexactDivision,
+    SpaceMismatch,
+)
+from kholo.polynomials import (
+    MAX_TOTAL_DEGREE,
+    LinearSubst,
+    SparsePoly,
+    VarSpace,
+    conjugate_coefficients,
+    require_real_coefficients,
+)
+from kholo.rationals import (
+    GQ_HALF,
+    GQ_I,
+    GQ_MINUS_I,
+    GaussianRational,
+    terms_add_into,
+    terms_scale,
+    terms_sub,
+)
 from kholo.selftest import random_fraction, random_gq, random_poly  # noqa: F401
 from kholo.simplicial import SimplicialComplex
 
@@ -130,6 +153,99 @@ def try_divide_oracle(p, d):
         quotient[exps] = coeff
         rest = terms_sub(rest, terms_mul_oracle({exps: coeff}, divisor))
     return SparsePoly.from_terms(p.space, quotient)
+
+
+# -- calculus oracles -------------------------------------------------------------
+
+def linear_subst_apply_oracle(subst, p):
+    """``subst.apply(p)`` as a sum of products: each input term is its
+    coefficient times a product of cached powers of the images."""
+    if p.space != subst.source:
+        raise SpaceMismatch(f"{p.space} vs substitution source {subst.source}")
+    for name in p.variables_present():
+        if name not in subst.images:
+            raise IncompleteSubstitution(f"no image for {name!r}")
+    if p.total_degree() > MAX_TOTAL_DEGREE:
+        raise DegreeOverflow("input degree exceeds the supported bound")
+    one = SparsePoly.constant(subst.target, 1)
+    powers = {}
+
+    def power(k, e):
+        key = (k, e)
+        cached = powers.get(key)
+        if cached is None:
+            if e == 1:
+                cached = subst.images[p.space.names[k]]
+            else:
+                half = power(k, e // 2)
+                cached = half * half
+                if e & 1:
+                    cached = cached * power(k, 1)
+            powers[key] = cached
+        return cached
+
+    acc = {}
+    for exps, coeff in p.terms():
+        prod = one
+        for k, e in enumerate(exps):
+            if e:
+                prod = prod * power(k, e)
+        terms_add_into(acc, terms_scale(dict(prod.terms()), coeff))
+    return SparsePoly.from_terms(subst.target, acc)
+
+
+def wirtinger_oracle(p, j, barred):
+    """(d/dx_j -/+ i d/dy_j)/2 from two partials, a scale, a sum and a scale."""
+    npairs = p.space.xy_pair_count()
+    if not 1 <= j <= npairs:
+        raise IndexOutOfRange(f"index {j} outside 1..{npairs}")
+    dx = p.partial(f"x{j}")
+    dy = p.partial(f"y{j}")
+    unit = GQ_I if barred else GQ_MINUS_I
+    return (dx + dy.scale(unit)).scale(GQ_HALF)
+
+
+def build_g_oracle(f):
+    """(f(z + i*w) + sigma(f)(z - i*w)) / 2 by two substitutions."""
+    n = f.space.n
+    target = VarSpace.zw(n)
+    plus = {}
+    minus = {}
+    for j in range(1, n + 1):
+        zj = SparsePoly.variable(target, f"z{j}")
+        wj = SparsePoly.variable(target, f"w{j}")
+        plus[f"z{j}"] = zj + wj.scale(GQ_I)
+        minus[f"z{j}"] = zj - wj.scale(GQ_I)
+    first = linear_subst_apply_oracle(LinearSubst(f.space, target, plus), f)
+    second = linear_subst_apply_oracle(LinearSubst(f.space, target, minus),
+                                       conjugate_coefficients(f))
+    return (first + second).scale(Fraction(1, 2))
+
+
+def check_pluriharmonic_oracle(u):
+    """All n*n mixed derivatives d/dzbar_k d/dz_j u, witnesses row-major in (j, k)."""
+    require_real_coefficients(u, "check_pluriharmonic")
+    npairs = u.space.xy_pair_count()
+    witnesses = []
+    for j in range(1, npairs + 1):
+        dj = wirtinger_oracle(u, j, barred=False)
+        for k in range(1, npairs + 1):
+            djk = wirtinger_oracle(dj, k, barred=True)
+            if not djk.is_zero():
+                witnesses.append((j, k, djk))
+    return (not witnesses), witnesses
+
+
+def real_imag_coefficient_parts_oracle(p):
+    """Split each coefficient a + b*i into (a, b) through Fraction."""
+    re_terms = {}
+    im_terms = {}
+    for exps, coeff in p.terms():
+        if coeff.re:
+            re_terms[exps] = GaussianRational(coeff.re)
+        if coeff.im:
+            im_terms[exps] = GaussianRational(coeff.im)
+    return SparsePoly.from_terms(p.space, re_terms), SparsePoly.from_terms(p.space, im_terms)
 
 
 # -- splitting oracle -------------------------------------------------------------

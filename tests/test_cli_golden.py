@@ -54,15 +54,26 @@ CASES = [
     ("reconstruct-superscript-digit", ["reconstruct", "-n", "1", "2²"], None),
     ("reconstruct-superscript-exponent", ["reconstruct", "-n", "1", "x^²"], None),
     ("reconstruct-superscript-after-name", ["reconstruct", "-n", "1", "x²"], None),
+    ("reconstruct-n2-negative-denominators",
+     ["reconstruct", "-n", "2", "1/3*x1^2 - 2/5*x1*y2 + 3/7*y1 + 1/2"], None),
     # pluriharmonic
     ("pluriharmonic-doc", ["pluriharmonic", "-n", "1", "x^2 - y^2"], None),
     ("pluriharmonic-negative", ["pluriharmonic", "-n", "1", "x^2"], None),
     ("pluriharmonic-n2-plain", ["pluriharmonic", "-n", "2", "--format", "plain", "x1*y2"], None),
     ("pluriharmonic-expansion-too-large",
      ["pluriharmonic", "-n", "2", "(x1+x2+y1+y2+1)^30"], None),
+    # off-diagonal witnesses with nonzero imaginary parts, (j, k) row-major
+    ("pluriharmonic-n2-complex-witnesses",
+     ["pluriharmonic", "-n", "2", "x1*y2 + x1^2*y2 - 1/3*y1*x2"], None),
+    ("pluriharmonic-n3-complex-witnesses",
+     ["pluriharmonic", "-n", "3", "x1*y2 + x1^2*y2 - 1/3*y1*x3"], None),
     # verify-g
     ("verify-g-doc", ["verify-g", "-n", "2", "z1*z2 + i*z1^3"], None),
     ("verify-g-plain", ["verify-g", "-n", "1", "--format", "plain", "z1^2 + 1"], None),
+    ("verify-g-n2-complex-rational",
+     ["verify-g", "-n", "2", "(1/2 + 2/3*i)*z1^2*z2 - 3/5*i*z2 + 1/7"], None),
+    # the lowering accepts z1^200; expanding g into real coordinates would not fit
+    ("verify-g-expansion-too-large", ["verify-g", "-n", "1", "z1^200"], None),
     ("verify-g-unknown-variable", ["verify-g", "-n", "1", "z2"], None),
     ("verify-g-power-too-long", ["verify-g", "-n", "1", "10^5000*z"], None),
     ("verify-g-literal-too-long", ["verify-g", "-n", "1", "1" * 5000 + "*z"], None),
