@@ -56,6 +56,16 @@ CASES = [
     ("reconstruct-superscript-after-name", ["reconstruct", "-n", "1", "x²"], None),
     ("reconstruct-n2-negative-denominators",
      ["reconstruct", "-n", "2", "1/3*x1^2 - 2/5*x1*y2 + 3/7*y1 + 1/2"], None),
+    # parser paths: nested signs, powers and products of sums, a zero factor
+    ("reconstruct-double-negation", ["reconstruct", "-n", "1", "-(-(x - y))*x"], None),
+    ("reconstruct-cube-of-a-sum", ["reconstruct", "-n", "1", "(x + y + 1)^3"], None),
+    ("reconstruct-product-of-sums",
+     ["reconstruct", "-n", "1", "(x + y)*(x - y) + (x + 1)*(y - 1)*(x - y)"], None),
+    ("reconstruct-zero-factor", ["reconstruct", "-n", "1", "0*x*(x+y)^2"], None),
+    ("reconstruct-trailing-paren", ["reconstruct", "-n", "1", "x )"], None),
+    ("reconstruct-missing-paren", ["reconstruct", "-n", "1", "(x + y*(x - 1)"], None),
+    ("reconstruct-nested-too-deeply",
+     ["reconstruct", "-n", "1", "(" * 300 + "x" + ")" * 300], None),
     # pluriharmonic
     ("pluriharmonic-doc", ["pluriharmonic", "-n", "1", "x^2 - y^2"], None),
     ("pluriharmonic-negative", ["pluriharmonic", "-n", "1", "x^2"], None),
@@ -72,6 +82,7 @@ CASES = [
     ("verify-g-plain", ["verify-g", "-n", "1", "--format", "plain", "z1^2 + 1"], None),
     ("verify-g-n2-complex-rational",
      ["verify-g", "-n", "2", "(1/2 + 2/3*i)*z1^2*z2 - 3/5*i*z2 + 1/7"], None),
+    ("verify-g-gaussian-power", ["verify-g", "-n", "1", "(1-i)^3*z"], None),
     # the lowering accepts z1^200; expanding g into real coordinates would not fit
     ("verify-g-expansion-too-large", ["verify-g", "-n", "1", "z1^200"], None),
     ("verify-g-unknown-variable", ["verify-g", "-n", "1", "z2"], None),
