@@ -16,13 +16,19 @@ A digit is a Unicode decimal digit (``str.isdecimal``), exactly what
 ``int()`` reads, so ``²`` is an unexpected character wherever it stands,
 after a name (``x²``) too.
 
-Lowering builds one term map and keeps a budget: each product of two sums,
-also inside a power of a sum, may expand to at most
-``polynomials.MAX_EXPANSION_TERMS`` terms (|A|*|B| for sums of |A| and |B|
-terms), and no integer may pass the interpreter's ``int``/``str`` digit
-limit (``sys.get_int_max_str_digits()``, checked on literals, bounded before
-a power is taken and checked on the result).  Both refusals raise
-ExpansionTooLarge, an input error.
+One recursive descent checks the grammar and builds the term map of the
+space as it reads; there is no syntax tree.  The text is tokenized first, so
+an unexpected character is reported before anything else; after that the
+first fault in reading order is reported, whether it is a grammar fault, an
+unknown name or a refused power or product (``q + (`` reports the unknown
+``q``, ``( + q`` the unexpected ``+``).
+
+Parsing keeps a budget: each product of two sums, also inside a power of a
+sum, may expand to at most ``polynomials.MAX_EXPANSION_TERMS`` terms
+(|A|*|B| for sums of |A| and |B| terms), and no integer may pass the
+interpreter's ``int``/``str`` digit limit (``sys.get_int_max_str_digits()``,
+checked on literals, bounded before a power is taken and checked on the
+result).  Both refusals raise ExpansionTooLarge, an input error.
 
 The printer emits the canonical form (graded-lex descending terms,
 coefficients as ``a``, ``a/b`` or ``(a+b*i)``); parsing its output always
@@ -44,50 +50,9 @@ from kholo.errors import (
     UnknownVariable,
 )
 from kholo.polynomials import MAX_EXPANSION_TERMS, MAX_TOTAL_DEGREE, SparsePoly, VarSpace
-from kholo.rationals import GQ_I, GQ_ONE, GaussianRational, as_gaussian, terms_mul
+from kholo.rationals import GQ_I, GQ_ONE, GaussianRational, terms_mul
 
 _MAX_DEPTH = 200
-
-
-# -- AST ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Const:
-    value: GaussianRational
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -143,144 +108,7 @@ def _tokenize(text):
     return tokens
 
 
-# -- parser -------------------------------------------------------------------
-
-def _integer(tok):
-    """The value of an 'int' token, refused beyond the interpreter's digit limit."""
-    limit = _digit_limit()
-    if limit and len(tok.text) > limit:
-        raise ExpansionTooLarge(
-            f"integer of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
-            f"is over the limit of {limit} digits")
-    return int(tok.text)
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
-        return self.advance()
-
-    def _enter(self):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ExprSyntaxError("expression nested too deeply",
-                                  tok.line, tok.column)
-
-    def parse(self):
-        ast = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing {tok.text!r}",
-                                  tok.line, tok.column)
-        return ast
-
-    def expr(self):
-        self._enter()
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        self.depth -= 1
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Mul(node, self.factor())
-        return node
-
-    def factor(self):
-        self._enter()
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            node = Pow(node, self.exponent())
-        self.depth -= 1
-        return node
-
-    def exponent(self):
-        tok = self.peek()
-        wrapped = tok.kind == "("
-        if wrapped:
-            self.advance()
-            tok = self.peek()
-        if tok.kind == "-":
-            raise NegativeExponent("exponent must be a non-negative integer",
-                                   tok.line, tok.column)
-        value = _integer(self.expect("int"))
-        if wrapped:
-            self.expect(")")
-        return value
-
-    def atom(self):
-        self._enter()
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            node = Neg(self.factor())
-        elif tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-        elif tok.kind == "int":
-            node = Const(self.rational())
-        elif tok.kind == "ident":
-            self.advance()
-            node = Const(GQ_I) if tok.text == "i" else Var(tok.text)
-        else:
-            raise ExprSyntaxError(
-                f"unexpected {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
-        self.depth -= 1
-        return node
-
-    def rational(self):
-        numerator = _integer(self.expect("int"))
-        if self.peek().kind == "/":
-            self.advance()
-            den_tok = self.expect("int")
-            denominator = _integer(den_tok)
-            if denominator == 0:
-                raise DivisionByZero(
-                    f"zero denominator at line {den_tok.line}, "
-                    f"column {den_tok.column}")
-            return GaussianRational(Fraction(numerator, denominator))
-        return GaussianRational(numerator)
-
-
-def parse_expression(text):
-    """Parse text to an AST without lowering it."""
-    return _Parser(text).parse()
-
-
-# -- lowering -----------------------------------------------------------------
-#
-# One pass builds one term map.  A lowered value is a monomial, the tuple
-# (exps, nonzero coeff), or a term map dict with no or at least two terms.
-# Sums are walked with a stack into one accumulator; a product folds its
-# monomial factors into one monomial and multiplies term maps only for the
-# factors that are sums.  Checks run in reading order, as lowering node by
-# node would run them.
+# -- checks -------------------------------------------------------------------
 
 def _resolve_name(name, space):
     if name in space:
@@ -295,6 +123,16 @@ def _digit_limit():
     """Decimal digits int() and str() convert; 0 means no limit."""
     get = getattr(sys, "get_int_max_str_digits", None)  # Python 3.10.7 and later
     return get() if get else 0
+
+
+def _integer(tok):
+    """The value of an 'int' token, refused beyond the interpreter's digit limit."""
+    limit = _digit_limit()
+    if limit and len(tok.text) > limit:
+        raise ExpansionTooLarge(
+            f"integer of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
+            f"is over the limit of {limit} digits")
+    return int(tok.text)
 
 
 def _degree(value):
@@ -356,13 +194,45 @@ def _check_digits(terms):
                 f"over the limit of {limit} digits")
 
 
-class _Lowering:
-    """Lowers the AST of one expression into the term map of one space."""
+# -- parser -------------------------------------------------------------------
+#
+# Each production returns its value in the space: a monomial, the tuple
+# (exps, nonzero coeff), or a term map dict with no or at least two terms.
+# A sum adds its terms into one dict; a product folds its monomial factors
+# into one monomial and multiplies term maps only for the factors that are
+# sums.
 
-    def __init__(self, space):
+class _Parser:
+    def __init__(self, text, space):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
         self.space = space
         self.constant = (0,) * len(space.names)
         self.units = {}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ExprSyntaxError(
+                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                tok.line, tok.column)
+        return self.advance()
+
+    def _enter(self):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            tok = self.peek()
+            raise ExprSyntaxError("expression nested too deeply",
+                                  tok.line, tok.column)
 
     def unit(self, name):
         exps = self.units.get(name)
@@ -371,21 +241,21 @@ class _Lowering:
             exps = self.units[name] = tuple(int(j == k) for j in range(len(self.constant)))
         return exps
 
-    def sum(self, node):
-        """The term map of an Add/Sub/Neg tree, summed in reading order."""
+    def parse(self):
+        terms = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExprSyntaxError(f"unexpected trailing {tok.text!r}",
+                                  tok.line, tok.column)
+        return terms
+
+    def expr(self):
+        """The term map of a sum, its terms added in reading order."""
+        self._enter()
         out = {}
-        stack = [(node, False)]
-        while stack:
-            node, negative = stack.pop()
-            kind = type(node)
-            if kind is Add or kind is Sub:
-                stack.append((node.right, negative ^ (kind is Sub)))
-                stack.append((node.left, negative))
-                continue
-            if kind is Neg:
-                stack.append((node.operand, not negative))
-                continue
-            value = self.factor(node)
+        negative = False
+        while True:
+            value = self.term()
             for exps, c in (value,) if type(value) is tuple else value.items():
                 if negative:
                     c = -c
@@ -398,60 +268,45 @@ class _Lowering:
                         out[exps] = c
                     else:
                         del out[exps]
+            op = self.peek().kind
+            if op != "+" and op != "-":
+                break
+            self.advance()
+            negative = op == "-"
+        self.depth -= 1
         return out
 
-    def factor(self, node):
-        kind = type(node)
-        if kind is Var:
-            return (self.unit(node.name), GQ_ONE)
-        if kind is Const:
-            value = as_gaussian(node.value)
-            return (self.constant, value) if value else {}
-        if kind is Mul:
-            return self.product(node)
-        if kind is Pow:
-            return self.power(node)
-        if kind is Neg:
-            value = self.factor(node.operand)
-            if type(value) is tuple:
-                return (value[0], -value[1])
-            return {exps: -c for exps, c in value.items()}
-        if kind is Add or kind is Sub:
-            return _as_value(self.sum(node))
-        raise TypeError(f"not an AST node: {node!r}")
-
-    def product(self, node):
-        """A Mul chain: one monomial times the product of the factors that are sums."""
-        factors = []
-        while type(node) is Mul:
-            factors.append(node.right)
-            node = node.left
-        factors.append(node)
+    def term(self):
+        """One monomial times the product of the factors that are sums."""
+        value = self.factor()
+        if self.peek().kind != "*":
+            return value
         exps = list(self.constant)
         coeff = GQ_ONE
         sums = None
         degree = 0  # of the product so far; -1 once it is zero
-        for node in reversed(factors):
-            value = self.factor(node)
+        while True:
             factor_degree = _degree(value)
             if degree + factor_degree > MAX_TOTAL_DEGREE:
                 raise DegreeOverflow("product degree exceeds the supported bound")
-            if degree < 0:
-                continue
-            if factor_degree < 0:
+            if degree < 0 or factor_degree < 0:
                 degree = -1
-                continue
-            degree += factor_degree
-            if type(value) is tuple:
-                for j, e in enumerate(value[0]):
-                    if e:
-                        exps[j] += e
-                if value[1] is not GQ_ONE:
-                    coeff = value[1] if coeff is GQ_ONE else coeff * value[1]
-            elif sums is None:
-                sums = value
             else:
-                sums = _multiply(sums, value, "a product")
+                degree += factor_degree
+                if type(value) is tuple:
+                    for j, e in enumerate(value[0]):
+                        if e:
+                            exps[j] += e
+                    if value[1] is not GQ_ONE:
+                        coeff = value[1] if coeff is GQ_ONE else coeff * value[1]
+                elif sums is None:
+                    sums = value
+                else:
+                    sums = _multiply(sums, value, "a product")
+            if self.peek().kind != "*":
+                break
+            self.advance()
+            value = self.factor()
         if degree < 0:
             return {}
         exps = tuple(exps)
@@ -461,11 +316,32 @@ class _Lowering:
             return sums
         return {tuple(map(add, e, exps)): c * coeff for e, c in sums.items()}
 
-    def power(self, node):
-        e = node.exponent
+    def factor(self):
+        self._enter()
+        base = self.atom()
+        if self.peek().kind == "^":
+            self.advance()
+            base = self.power(base, self.exponent())
+        self.depth -= 1
+        return base
+
+    def exponent(self):
+        tok = self.peek()
+        wrapped = tok.kind == "("
+        if wrapped:
+            self.advance()
+            tok = self.peek()
+        if tok.kind == "-":
+            raise NegativeExponent("exponent must be a non-negative integer",
+                                   tok.line, tok.column)
+        value = _integer(self.expect("int"))
+        if wrapped:
+            self.expect(")")
+        return value
+
+    def power(self, base, e):
         if e > MAX_TOTAL_DEGREE:
             raise DegreeOverflow(f"exponent {e} exceeds the bound")
-        base = self.factor(node.base)
         if e == 1:
             return base
         if e == 0:
@@ -492,22 +368,60 @@ class _Lowering:
                 return result
             base = _multiply(base, base, what)
 
+    def atom(self):
+        self._enter()
+        tok = self.peek()
+        if tok.kind == "-":
+            self.advance()
+            value = self.factor()
+            if type(value) is tuple:
+                value = (value[0], -value[1])
+            else:
+                value = {exps: -c for exps, c in value.items()}
+        elif tok.kind == "(":
+            self.advance()
+            value = _as_value(self.expr())
+            self.expect(")")
+        elif tok.kind == "int":
+            c = self.rational()
+            value = (self.constant, c) if c else {}
+        elif tok.kind == "ident":
+            self.advance()
+            if tok.text == "i":
+                value = (self.constant, GQ_I)
+            else:
+                value = (self.unit(tok.text), GQ_ONE)
+        else:
+            raise ExprSyntaxError(
+                f"unexpected {tok.text or 'end of input'!r}",
+                tok.line, tok.column)
+        self.depth -= 1
+        return value
 
-def lower(ast, space):
-    """Lower an AST to a canonical SparsePoly in the given space.
+    def rational(self):
+        numerator = _integer(self.expect("int"))
+        if self.peek().kind == "/":
+            self.advance()
+            den_tok = self.expect("int")
+            denominator = _integer(den_tok)
+            if denominator == 0:
+                raise DivisionByZero(
+                    f"zero denominator at line {den_tok.line}, "
+                    f"column {den_tok.column}")
+            return GaussianRational(Fraction(numerator, denominator))
+        return GaussianRational(numerator)
+
+
+def parse_poly(text, space):
+    """Parse an expression into a canonical polynomial of the space.
 
     Refuses with ExpansionTooLarge a product of two sums, also one inside a
     power, that could expand past ``MAX_EXPANSION_TERMS`` terms, and any
     integer beyond the interpreter's ``int``/``str`` digit limit.
     """
-    terms = _Lowering(space).sum(ast)
+    terms = _Parser(text, space).parse()
     _check_digits(terms)
     return SparsePoly(space, terms)
-
-
-def parse_poly(text, space):
-    """Parse an expression into a canonical polynomial of the space."""
-    return lower(parse_expression(text), space)
 
 
 def parse_gaussian(text):

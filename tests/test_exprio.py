@@ -16,17 +16,8 @@ from kholo.errors import (
     UnknownVariable,
 )
 from kholo.exprio import (
-    Add,
-    Const,
-    Mul,
-    Neg,
-    Pow,
-    Sub,
-    Var,
     _resolve_name,
     format_gaussian,
-    lower,
-    parse_expression,
     parse_gaussian,
     parse_point,
     parse_poly,
@@ -121,14 +112,6 @@ def test_parse_point_tuples():
         parse_point("1, 2", 3)
 
 
-def test_ast_shape():
-    from kholo.exprio import Add, Const, Mul, Pow, Var
-    ast = parse_expression("x^2 + 2*y")
-    assert isinstance(ast, Add)
-    assert isinstance(ast.left, Pow) and isinstance(ast.left.base, Var)
-    assert isinstance(ast.right, Mul) and isinstance(ast.right.left, Const)
-
-
 # -- printing -------------------------------------------------------------------
 
 def test_print_goldens():
@@ -214,69 +197,131 @@ def test_long_product_parses():
     assert parse_poly("*".join(["x1"] * 2000), XY1) == parse_poly("x1^2000", XY1)
 
 
-# -- the recursive lowering, kept as the oracle ------------------------------------
+# -- an independent oracle: ring operations in reading order ---------------------
+#
+# A generated text is kept as the sum it parses to: a list of signed terms,
+# each a list of factors.  A factor is a thunk that returns its SparsePoly or
+# raises the error the parser must report, so evaluating the terms and their
+# factors left to right meets the faults in the order they are read.
 
-def recursive_lower(ast, space):
-    """One SparsePoly per AST node, combined with the ring operations."""
-    if isinstance(ast, Const):
-        return SparsePoly.constant(space, ast.value)
-    if isinstance(ast, Var):
-        return SparsePoly.variable(space, _resolve_name(ast.name, space))
-    if isinstance(ast, Neg):
-        return -recursive_lower(ast.operand, space)
-    if isinstance(ast, Add):
-        return recursive_lower(ast.left, space) + recursive_lower(ast.right, space)
-    if isinstance(ast, Sub):
-        return recursive_lower(ast.left, space) - recursive_lower(ast.right, space)
-    if isinstance(ast, Mul):
-        return recursive_lower(ast.left, space) * recursive_lower(ast.right, space)
-    if isinstance(ast, Pow):
-        if ast.exponent > MAX_TOTAL_DEGREE:
-            raise DegreeOverflow(f"exponent {ast.exponent} exceeds the bound")
-        return recursive_lower(ast.base, space) ** ast.exponent
-    raise TypeError(f"not an AST node: {ast!r}")
+def _name(name):
+    return lambda: SparsePoly.variable(XY1, _resolve_name(name, XY1))
+
+
+def _constant(value):
+    return lambda: SparsePoly.constant(XY1, value)
+
+
+def _power(base, e):
+    """base^e: the base is read before the exponent."""
+    def value():
+        b = base()
+        if e > MAX_TOTAL_DEGREE:
+            raise DegreeOverflow(f"exponent {e} exceeds the bound")
+        return b ** e
+    return value
+
+
+def _negated(factor):
+    return lambda: -factor()
+
+
+def _evaluate(terms):
+    """The sum of signed products, each product folded left to right."""
+    total = SparsePoly.zero(XY1)
+    for sign, factors in terms:
+        product = factors[0]()
+        for factor in factors[1:]:
+            product = product * factor()
+        total = total + product if sign > 0 else total - product
+    return total
+
+
+_I = GaussianRational(0, 1)
+_CONSTANTS = {
+    "0": [_constant(0)],
+    "1": [_constant(1)],
+    "2": [_constant(2)],
+    "3/4": [_constant(Fraction(3, 4))],
+    "i": [_constant(_I)],
+    "7*i": [_constant(7), _constant(_I)],
+    "(1-i)^3": [_constant(GaussianRational(1, -1) ** 3)],
+}
+
+
+def _random_terms(rng, depth):
+    """Text over known and unknown names, zeros, and degrees near the bound.
+
+    Returns the text and its signed terms.  Parts are joined without
+    parentheses, so the grammar's precedence regroups them: a unary minus
+    takes the first factor of what follows, and a product of sums multiplies
+    only the touching terms.
+    """
+    roll = rng.random()
+    if roll < 0.15:
+        text = rng.choice(list(_CONSTANTS))
+        return text, [(1, _CONSTANTS[text])]
+    if depth == 0 or roll < 0.3:
+        text = rng.choice(["x", "y", "x1", "y1", "x", "y", "q"])
+        factor = _name(text)
+        if rng.random() < 0.3:
+            e = rng.choice(["0", "2", "3", "400000", "600000", "600000", "1000001"])
+            text += "^" + e
+            factor = _power(factor, int(e))
+        return text, [(1, [factor])]
+    if roll < 0.45:
+        inner, terms = _random_terms(rng, depth - 1)
+        e = rng.choice(["0", "2", "3"])
+        return f"({inner})^{e}", [(1, [_power(lambda: _evaluate(terms), int(e))])]
+    if roll < 0.55:
+        inner, terms = _random_terms(rng, depth - 1)
+        (sign, factors), rest = terms[0], terms[1:]
+        return "-" + inner, [(sign, [_negated(factors[0])] + factors[1:])] + rest
+    if roll < 0.6:
+        inner, terms = _random_terms(rng, depth - 1)
+        return f"({inner})", [(1, [lambda: _evaluate(terms)])]
+    parts = [_random_terms(rng, depth - 1) for _ in range(rng.randint(2, 4))]
+    if roll < 0.8:
+        terms = list(parts[0][1])
+        for _, more in parts[1:]:
+            sign, factors = terms.pop()
+            terms += [(sign, factors + more[0][1])] + more[1:]
+        return "*".join(text for text, _ in parts), terms
+    text, terms = "", []
+    for part, more in parts:
+        op = rng.choice([" + ", " - "])
+        text += op + part
+        if op == " - " and terms:
+            more = [(-more[0][0], more[0][1])] + more[1:]
+        elif op == " - ":
+            # a leading minus is unary: it negates the first factor only
+            more = [(more[0][0], [_negated(more[0][1][0])] + more[0][1][1:])] + more[1:]
+        terms += more
+    return text.lstrip(" +"), terms
+
+
+def _outcome(compute, *args):
+    try:
+        return compute(*args)
+    except KholoError as exc:
+        return type(exc), str(exc)
 
 
 def _random_expression(rng, depth):
-    """Text over known and unknown names, zeros, and degrees near the bound."""
-    roll = rng.random()
-    if roll < 0.15:
-        return rng.choice(["0", "1", "2", "3/4", "i", "7*i", "(1-i)^3"])
-    if depth == 0 or roll < 0.3:
-        atom = rng.choice(["x", "y", "x1", "y1", "x", "y", "q"])
-        if rng.random() < 0.3:
-            atom += "^" + rng.choice(["0", "2", "3", "400000", "600000", "600000", "1000001"])
-        return atom
-    if roll < 0.45:
-        return "(" + _random_expression(rng, depth - 1) + ")^" + rng.choice(["0", "2", "3"])
-    if roll < 0.55:
-        return "-" + _random_expression(rng, depth - 1)
-    if roll < 0.6:
-        return "(" + _random_expression(rng, depth - 1) + ")"
-    parts = [_random_expression(rng, depth - 1) for _ in range(rng.randint(2, 4))]
-    if roll < 0.8:
-        return "*".join(parts)
-    return "".join(rng.choice([" + ", " - "]) + part for part in parts).lstrip(" +")
-
-
-def _outcome(lowering, ast, space):
-    try:
-        return lowering(ast, space)
-    except KholoError as exc:
-        return type(exc), str(exc)
+    """A random text and its expected outcome: a SparsePoly or (error type, message)."""
+    text, terms = _random_terms(rng, depth)
+    return text, _outcome(_evaluate, terms)
 
 
 def test_lowering_matches_recursive_oracle():
     rng = seeded(64)
     errors = set()
     for _ in range(3000):
-        text = _random_expression(rng, 4)
-        ast = parse_expression(text)
-        expected = _outcome(recursive_lower, ast, XY1)
-        assert _outcome(lower, ast, XY1) == expected, text
+        text, expected = _random_expression(rng, 4)
+        assert _outcome(parse_poly, text, XY1) == expected, text
         if isinstance(expected, tuple):
             errors.add(expected)
-    # every check of the lowering was reached, some first among several
+    # every check of the parser was reached, some first among several
     assert {kind for kind, _ in errors} == {UnknownVariable, DegreeOverflow}
     assert {message for _, message in errors} >= {
         "'q' is not a variable of this space",
@@ -293,8 +338,23 @@ def test_lowering_matches_oracle_on_random_polynomials():
         p = random_poly(space, rng, max_degree=4, max_terms=6)
         q = random_poly(space, rng, max_degree=3, max_terms=4)
         text = f"({print_poly(p)})^2*({print_poly(q)}) - ({print_poly(q)})*{print_poly(p)}"
-        ast = parse_expression(text)
-        assert lower(ast, space) == recursive_lower(ast, space)
+        # the last p is not parenthesized: (q) multiplies only its first term
+        first = SparsePoly.from_terms(space, dict(p.terms()[:1]))
+        assert parse_poly(text, space) == p ** 2 * q - q * first + (p - first)
+
+
+def test_first_fault_in_reading_order_is_reported():
+    with pytest.raises(UnknownVariable):
+        parse_poly("q^1000001", XY1)
+    with pytest.raises(UnknownVariable):
+        parse_poly("q + (", XY1)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_poly("( + q", XY1)
+    assert str(info.value) == "unexpected '+' (line 1, column 3)"
+    # the whole text is tokenized before anything is read
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_poly("q @", XY1)
+    assert (info.value.line, info.value.column) == (1, 3)
 
 
 # -- the expansion budget ------------------------------------------------------------
