@@ -285,10 +285,12 @@ class SimplicialComplex:
 
     ``top`` lists the n-simplices as (n+1)-tuples of vertex indices.  Lower
     faces are derived.  Construction validates the structure, the affine
-    non-degeneracy of every top simplex, and (in the plane only) that any two
-    top simplices meet exactly in their shared face.  That pairwise test runs
-    on the vertices scaled to integers over one denominator, and only on
-    pairs of triangles whose closed bounding boxes meet.
+    non-degeneracy of every top simplex, and (on the line and in the plane
+    only) that any two top simplices meet exactly in their shared face.  On
+    the line that is one sweep over the segments sorted by left end; in the
+    plane the pairwise test runs only on pairs of triangles whose closed
+    bounding boxes meet.  Both run on the vertices scaled to integers over
+    one denominator.
     """
 
     def __init__(self, dim, vertices, top):
@@ -327,12 +329,30 @@ class SimplicialComplex:
             seen.add(key)
             self._check_nondegenerate(simplex)
         self._boxes = tuple(self._lattice_box(simplex) for simplex in self.top)
-        if n == 2:
+        if n == 1:
+            self._check_segments()
+        elif n == 2:
             self._check_pairwise_plane()
 
     def _check_nondegenerate(self, simplex):
         if _signed_volume([self._lattice[i] for i in simplex]) == 0:
             raise InvalidComplex(f"top simplex {simplex} is affinely degenerate")
+
+    def _check_segments(self):
+        # sorted by left end, a segment's interior meets an earlier one's
+        # exactly when it starts before the furthest right end so far
+        ends = []
+        for simplex in self.top:
+            a, b = (self._lattice[k][0] for k in simplex)
+            ends.append((min(a, b), max(a, b), simplex))
+        ends.sort()
+        reach, furthest = None, None
+        for left, right, simplex in ends:
+            if furthest is not None and left < reach:
+                raise InvalidComplex(
+                    f"top simplices {furthest} and {simplex} overlap")
+            if furthest is None or right > reach:
+                reach, furthest = right, simplex
 
     def _check_pairwise_plane(self):
         # triangles must meet exactly in their shared face: no foreign vertex

@@ -83,7 +83,7 @@ CASES = [
     ("verify-g-n2-complex-rational",
      ["verify-g", "-n", "2", "(1/2 + 2/3*i)*z1^2*z2 - 3/5*i*z2 + 1/7"], None),
     ("verify-g-gaussian-power", ["verify-g", "-n", "1", "(1-i)^3*z"], None),
-    # the lowering accepts z1^200; expanding g into real coordinates would not fit
+    # the parser accepts z1^200; expanding g into real coordinates would not fit
     ("verify-g-expansion-too-large", ["verify-g", "-n", "1", "z1^200"], None),
     ("verify-g-unknown-variable", ["verify-g", "-n", "1", "z2"], None),
     ("verify-g-power-too-long", ["verify-g", "-n", "1", "10^5000*z"], None),
@@ -137,6 +137,8 @@ CASES = [
     ("route-invalid-json", ["route", "-"], "{not json"),
     ("route-overlap", ["route", "-"],
      _doc(2, _SQUARE, [[0, 1, 2], [0, 1, 3]], [], [0, 2])),
+    ("route-overlap-1d", ["route", "-"],
+     _doc(1, [(0,), (2,), (3,), (1,)], [[0, 1], [1, 2], [0, 3]], [], [3, 2])),
     ("route-marked-not-a-face", ["route", "-"],
      _doc(2, _SQUARE, [[0, 1, 2], [0, 2, 3]], [[1, 3]], [0, 2])),
     ("route-marked-edge", ["route", "-"],

@@ -94,6 +94,24 @@ def test_vertex_inside_other_triangle_rejected():
             top=[(0, 1, 2), (3, 4, 5)])
 
 
+def test_overlapping_segments_rejected():
+    # [0, 2] and [0, 1] share the vertex 0 and overlap along [0, 1]
+    with pytest.raises(InvalidComplex) as info:
+        SimplicialComplex(dim=1, vertices=[(0,), (2,), (3,), (1,)],
+                          top=[(0, 1), (1, 2), (0, 3)])
+    assert str(info.value) == "top simplices (0, 3) and (0, 1) overlap"
+    # a segment inside another, listed right to left
+    with pytest.raises(InvalidComplex):
+        SimplicialComplex(dim=1, vertices=[(0,), (5,), (2,), (3,)],
+                          top=[(1, 0), (3, 2)])
+
+
+def test_segments_meeting_at_ends_accepted():
+    complex_ = SimplicialComplex(dim=1, vertices=[(2,), (0,), (1,), (Fraction(5, 2),)],
+                                 top=[(2, 0), (3, 0), (1, 2)])
+    assert len(complex_.top) == 3
+
+
 def test_duplicate_coordinates_rejected():
     with pytest.raises(InvalidComplex):
         SimplicialComplex(dim=2, vertices=[(0, 0), (1, 0), (0, 1), (0, 0)],
