@@ -36,6 +36,7 @@ from kholo.eliminate import (
     bareiss_determinant,
     eliminate_annihilator,
     sylvester_matrix,
+    sylvester_resultant,
     verify_annihilator,
 )
 from kholo.errors import Disconnected, KholoError
@@ -133,7 +134,7 @@ def test_criterion_3_annihilator_end_to_end():
 
 
 def test_criterion_4_resultant_oracle():
-    with criterion(4, "Bareiss equals Laplace oracle"):
+    with criterion(4, "PRS resultant and Bareiss equal Laplace oracle"):
         rng = seeded(1004)
         space = VarSpace.ztw(1)
         w0 = SparsePoly.variable(space, "w0")
@@ -155,7 +156,9 @@ def test_criterion_4_resultant_oracle():
             b = univariate(db)
             matrix = sylvester_matrix(a, b, "w0")
             assert len(matrix) <= 8
-            assert bareiss_determinant(matrix) == laplace_det(matrix)
+            expected = laplace_det(matrix)
+            assert bareiss_determinant(matrix) == expected
+            assert sylvester_resultant(a, b, "w0") == expected
             checked += 1
         assert checked == 100
 
