@@ -222,10 +222,6 @@ def _power(base, e):
     return value
 
 
-def _negated(factor):
-    return lambda: -factor()
-
-
 def _evaluate(terms):
     """The sum of signed products, each product folded left to right."""
     total = SparsePoly.zero(XY1)
@@ -254,8 +250,8 @@ def _random_terms(rng, depth):
 
     Returns the text and its signed terms.  Parts are joined without
     parentheses, so the grammar's precedence regroups them: a unary minus
-    takes the first factor of what follows, and a product of sums multiplies
-    only the touching terms.
+    negates the first factor of what follows, that is its first term, and a
+    product of sums multiplies only the touching terms.
     """
     roll = rng.random()
     if roll < 0.15:
@@ -276,7 +272,7 @@ def _random_terms(rng, depth):
     if roll < 0.55:
         inner, terms = _random_terms(rng, depth - 1)
         (sign, factors), rest = terms[0], terms[1:]
-        return "-" + inner, [(sign, [_negated(factors[0])] + factors[1:])] + rest
+        return "-" + inner, [(-sign, factors)] + rest
     if roll < 0.6:
         inner, terms = _random_terms(rng, depth - 1)
         return f"({inner})", [(1, [lambda: _evaluate(terms)])]
@@ -285,17 +281,14 @@ def _random_terms(rng, depth):
         terms = list(parts[0][1])
         for _, more in parts[1:]:
             sign, factors = terms.pop()
-            terms += [(sign, factors + more[0][1])] + more[1:]
+            terms += [(sign * more[0][0], factors + more[0][1])] + more[1:]
         return "*".join(text for text, _ in parts), terms
     text, terms = "", []
     for part, more in parts:
         op = rng.choice([" + ", " - "])
         text += op + part
-        if op == " - " and terms:
+        if op == " - ":  # binary, or unary before the first part
             more = [(-more[0][0], more[0][1])] + more[1:]
-        elif op == " - ":
-            # a leading minus is unary: it negates the first factor only
-            more = [(more[0][0], [_negated(more[0][1][0])] + more[0][1][1:])] + more[1:]
         terms += more
     return text.lstrip(" +"), terms
 
