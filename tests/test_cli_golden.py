@@ -66,6 +66,17 @@ CASES = [
     ("reconstruct-missing-paren", ["reconstruct", "-n", "1", "(x + y*(x - 1)"], None),
     ("reconstruct-nested-too-deeply",
      ["reconstruct", "-n", "1", "(" * 300 + "x" + ")" * 300], None),
+    # error positions: tabs, non-ASCII spaces and CR count one column each;
+    # a line feed starts the next line
+    ("reconstruct-position-tabs-line-3",
+     ["reconstruct", "-n", "1", "x +\n\ty\n\t\t+ @"], None),
+    ("reconstruct-position-unicode-spaces",
+     ["reconstruct", "-n", "1", "x +\u00a0y\u3000\u00a0* * y"], None),
+    ("reconstruct-position-crlf", ["reconstruct", "-n", "1", "-"], "x +\r\n  y +\r\n  ) + 1\r\n"),
+    ("reconstruct-position-superscript-line-2",
+     ["reconstruct", "-n", "1", "y +\n 2*x1²"], None),
+    ("reconstruct-position-nested-in-product",
+     ["reconstruct", "-n", "1", "x*y*" + "(" * 300 + "x" + ")" * 300], None),
     # pluriharmonic
     ("pluriharmonic-doc", ["pluriharmonic", "-n", "1", "x^2 - y^2"], None),
     ("pluriharmonic-negative", ["pluriharmonic", "-n", "1", "x^2"], None),
