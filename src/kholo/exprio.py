@@ -30,15 +30,20 @@ interpreter's ``int``/``str`` digit limit (``sys.get_int_max_str_digits()``,
 checked on literals, bounded before a power is taken and checked on the
 result).  Both refusals raise ExpansionTooLarge, an input error.
 
+The tokenizer records each token's column as its offset from the start of
+its line plus one, and the parser's hot peeks read a parallel list of token
+kinds.  Rational literals are built straight in the canonical
+``(x, y, d)`` form.
+
 The printer emits the canonical form (graded-lex descending terms,
 coefficients as ``a``, ``a/b`` or ``(a+b*i)``); parsing its output always
-reproduces the polynomial exactly.
+reproduces the polynomial exactly.  It reads each coefficient's integer
+triple ``(x, y, d)`` directly, with at most one gcd per printed part and no
+``Fraction``.
 """
 
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm, log10
+from math import gcd, lcm, log10
 from operator import add
 
 from kholo.errors import (
@@ -50,7 +55,7 @@ from kholo.errors import (
     UnknownVariable,
 )
 from kholo.polynomials import MAX_EXPANSION_TERMS, MAX_TOTAL_DEGREE, SparsePoly, VarSpace
-from kholo.rationals import GQ_I, GQ_ONE, GaussianRational, terms_mul
+from kholo.rationals import GQ_I, GQ_ONE, _exact, _lowest, terms_mul
 
 _MAX_DEPTH = 200
 
@@ -60,51 +65,51 @@ _MAX_DEPTH = 200
 _SYMBOLS = set("+-*^/()")
 
 
-@dataclass
 class _Token:
-    kind: str  # 'int' | 'ident' | symbol | 'end'
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        self.kind = kind  # 'int' | 'ident' | symbol | 'end'
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _tokenize(text):
+    """The tokens of the text; each column is ``pos - line_start + 1``."""
     tokens = []
-    line, column = 1, 1
+    line, line_start = 1, 0
     pos = 0
     length = len(text)
     while pos < length:
         ch = text[pos]
         if ch == "\n":
             line += 1
-            column = 1
             pos += 1
+            line_start = pos
             continue
         if ch.isspace():
-            column += 1
             pos += 1
             continue
         if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
+            tokens.append(_Token(ch, ch, line, pos - line_start + 1))
             pos += 1
             continue
+        start = pos
         if ch.isdecimal():
-            start = pos
+            pos += 1
             while pos < length and text[pos].isdecimal():
                 pos += 1
-            tokens.append(_Token("int", text[start:pos], line, column))
-            column += pos - start
+            tokens.append(_Token("int", text[start:pos], line, start - line_start + 1))
             continue
         if ch.isalpha():
-            start = pos
+            pos += 1
             while pos < length and (text[pos].isalpha() or text[pos].isdecimal()):
                 pos += 1
-            tokens.append(_Token("ident", text[start:pos], line, column))
-            column += pos - start
+            tokens.append(_Token("ident", text[start:pos], line, start - line_start + 1))
             continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
+        raise ExprSyntaxError(f"unexpected character {ch!r}", line, pos - line_start + 1)
+    tokens.append(_Token("end", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -125,9 +130,8 @@ def _digit_limit():
     return get() if get else 0
 
 
-def _integer(tok):
-    """The value of an 'int' token, refused beyond the interpreter's digit limit."""
-    limit = _digit_limit()
+def _integer(tok, limit):
+    """The value of an 'int' token, refused beyond the digit limit (0: none)."""
     if limit and len(tok.text) > limit:
         raise ExpansionTooLarge(
             f"integer of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
@@ -161,14 +165,13 @@ def _multiply(a, b, what):
     return terms_mul(a, b)
 
 
-def _check_power_digits(coeffs, e):
+def _check_power_digits(coeffs, e, limit):
     """Refuse a power whose coefficients could pass the digit limit.
 
     With L the lcm of the denominators and n_j = c_j * L, each coefficient of
     (sum c_j m_j)^e has a denominator dividing L^e and real and imaginary
     numerators at most (sum |Re n_j| + |Im n_j|)^e, the multinomial bound.
     """
-    limit = _digit_limit()
     if not limit:
         return
     den = lcm(*(c.d for c in coeffs))
@@ -180,9 +183,8 @@ def _check_power_digits(coeffs, e):
             f"over the limit of {limit} digits")
 
 
-def _check_digits(terms):
+def _check_digits(terms, limit):
     """Refuse a result holding an integer str() could not print."""
-    limit = _digit_limit()
     if not limit:
         return
     cap = limit * 3321928 // 1000000  # 2**cap <= 10**limit: values of at most cap bits fit
@@ -205,27 +207,25 @@ def _check_digits(terms):
 class _Parser:
     def __init__(self, text, space):
         self.tokens = _tokenize(text)
+        self.kinds = [tok.kind for tok in self.tokens]  # the hot peeks read these
         self.pos = 0
         self.depth = 0
         self.space = space
         self.constant = (0,) * len(space.names)
         self.units = {}
+        self.limit = _digit_limit()
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             raise ExprSyntaxError(
                 f"expected {kind!r}, found {tok.text or 'end of input'!r}",
                 tok.line, tok.column)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def _enter(self):
         self.depth += 1
@@ -268,10 +268,10 @@ class _Parser:
                         out[exps] = c
                     else:
                         del out[exps]
-            op = self.peek().kind
+            op = self.kinds[self.pos]
             if op != "+" and op != "-":
                 break
-            self.advance()
+            self.pos += 1
             negative = op == "-"
         self.depth -= 1
         return out
@@ -279,7 +279,8 @@ class _Parser:
     def term(self):
         """One monomial times the product of the factors that are sums."""
         value = self.factor()
-        if self.peek().kind != "*":
+        kinds = self.kinds
+        if kinds[self.pos] != "*":
             return value
         exps = list(self.constant)
         coeff = GQ_ONE
@@ -303,9 +304,9 @@ class _Parser:
                     sums = value
                 else:
                     sums = _multiply(sums, value, "a product")
-            if self.peek().kind != "*":
+            if kinds[self.pos] != "*":
                 break
-            self.advance()
+            self.pos += 1
             value = self.factor()
         if degree < 0:
             return {}
@@ -319,8 +320,8 @@ class _Parser:
     def factor(self):
         self._enter()
         base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
+        if self.kinds[self.pos] == "^":
+            self.pos += 1
             base = self.power(base, self.exponent())
         self.depth -= 1
         return base
@@ -329,12 +330,12 @@ class _Parser:
         tok = self.peek()
         wrapped = tok.kind == "("
         if wrapped:
-            self.advance()
-            tok = self.peek()
+            self.pos += 1
+            tok = self.tokens[self.pos]
         if tok.kind == "-":
             raise NegativeExponent("exponent must be a non-negative integer",
                                    tok.line, tok.column)
-        value = _integer(self.expect("int"))
+        value = _integer(self.expect("int"), self.limit)
         if wrapped:
             self.expect(")")
         return value
@@ -352,11 +353,11 @@ class _Parser:
             exps, c = base
             _check_power_degree(sum(exps), e)
             if c is not GQ_ONE:
-                _check_power_digits((c,), e)
+                _check_power_digits((c,), e, self.limit)
                 c = c ** e
             return (tuple(x * e for x in exps), c)
         _check_power_degree(_degree(base), e)
-        _check_power_digits(base.values(), e)
+        _check_power_digits(base.values(), e, self.limit)
         # binary powering, each product checked against the term budget
         what = f"power {e} of a sum of {len(base)} terms"
         result = None
@@ -370,28 +371,30 @@ class _Parser:
 
     def atom(self):
         self._enter()
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
+        kind = self.kinds[self.pos]
+        if kind == "-":
+            self.pos += 1
             value = self.factor()
             if type(value) is tuple:
                 value = (value[0], -value[1])
             else:
                 value = {exps: -c for exps, c in value.items()}
-        elif tok.kind == "(":
-            self.advance()
+        elif kind == "(":
+            self.pos += 1
             value = _as_value(self.expr())
             self.expect(")")
-        elif tok.kind == "int":
+        elif kind == "int":
             c = self.rational()
             value = (self.constant, c) if c else {}
-        elif tok.kind == "ident":
-            self.advance()
+        elif kind == "ident":
+            tok = self.tokens[self.pos]
+            self.pos += 1
             if tok.text == "i":
                 value = (self.constant, GQ_I)
             else:
                 value = (self.unit(tok.text), GQ_ONE)
         else:
+            tok = self.tokens[self.pos]
             raise ExprSyntaxError(
                 f"unexpected {tok.text or 'end of input'!r}",
                 tok.line, tok.column)
@@ -399,17 +402,17 @@ class _Parser:
         return value
 
     def rational(self):
-        numerator = _integer(self.expect("int"))
-        if self.peek().kind == "/":
-            self.advance()
+        numerator = _integer(self.expect("int"), self.limit)
+        if self.kinds[self.pos] == "/":
+            self.pos += 1
             den_tok = self.expect("int")
-            denominator = _integer(den_tok)
+            denominator = _integer(den_tok, self.limit)
             if denominator == 0:
                 raise DivisionByZero(
                     f"zero denominator at line {den_tok.line}, "
                     f"column {den_tok.column}")
-            return GaussianRational(Fraction(numerator, denominator))
-        return GaussianRational(numerator)
+            return _lowest(numerator, 0, denominator)
+        return _exact(numerator, 0, 1)
 
 
 def parse_poly(text, space):
@@ -419,8 +422,9 @@ def parse_poly(text, space):
     power, that could expand past ``MAX_EXPANSION_TERMS`` terms, and any
     integer beyond the interpreter's ``int``/``str`` digit limit.
     """
-    terms = _Parser(text, space).parse()
-    _check_digits(terms)
+    parser = _Parser(text, space)
+    terms = parser.parse()
+    _check_digits(terms, parser.limit)
     return SparsePoly(space, terms)
 
 
@@ -452,69 +456,62 @@ def parse_point(text, n):
 
 
 # -- printer ------------------------------------------------------------------
+#
+# A coefficient is printed from its canonical triple (x + y*i)/d, and no
+# Fraction is built.  A real coefficient's x/d is already in lowest terms
+# (gcd(x, 0, d) == gcd(x, d) == 1); each part of a non-real one is reduced by
+# one gcd with d.
 
-def format_rational(value):
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _ratio_text(n, d):
+    """n/d in lowest terms, as 'n' or 'n/d'; d > 0."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    if g != 1:
+        n //= g
+        d //= g
+    return f"{n}/{d}"
 
 
-def _imag_piece(b):
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{format_rational(b)}*i"
+def _gaussian_text(x, y, d):
+    """'(a+b*i)', '(a-i)', '(b*i)' and so on, for y != 0."""
+    mag = -y if y < 0 else y
+    piece = "i" if mag == d else f"{_ratio_text(mag, d)}*i"
+    if not x:
+        return f"(-{piece})" if y < 0 else f"({piece})"
+    return f"({_ratio_text(x, d)}{'-' if y < 0 else '+'}{piece})"
 
 
 def format_gaussian(c):
     """Canonical scalar form: 'a', 'a/b', or parenthesized 'a+b*i'."""
-    if c.is_real():
-        return format_rational(c.re)
-    re, im = c.re, c.im
-    if re == 0:
-        return f"({_imag_piece(im)})"
-    sign = "+" if im > 0 else "-"
-    mag = -im if im < 0 else im
-    piece = "i" if mag == 1 else f"{format_rational(mag)}*i"
-    return f"({format_rational(re)}{sign}{piece})"
-
-
-def _monomial(space, exps):
-    parts = []
-    for name, e in zip(space.names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    if c.y:
+        return _gaussian_text(c.x, c.y, c.d)
+    return str(c.x) if c.d == 1 else f"{c.x}/{c.d}"
 
 
 def print_poly(p):
     """Canonical text: graded-lex descending terms, parse(print(p)) == p."""
     if p.is_zero():
         return "0"
-    pieces = []
-    for exps, coeff in p.terms():
-        mono = _monomial(p.space, exps)
-        if coeff.is_real():
-            re = coeff.re
-            negative = re < 0
-            mag = -re if negative else re
-            if not mono:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{format_rational(mag)}*{mono}"
-            pieces.append(("-" if negative else "+", body))
+    names = p.space.names
+    out = []
+    for exps, c in p.terms():
+        mono = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(names, exps) if e])
+        x, y, d = c.x, c.y, c.d
+        if y:
+            body = _gaussian_text(x, y, d)
+            out.append(f" + {body}*{mono}" if mono else f" + {body}")
+            continue
+        sign = " + "
+        if x < 0:
+            sign, x = " - ", -x
+        if not mono:
+            out.append(f"{sign}{x}" if d == 1 else f"{sign}{x}/{d}")
+        elif d == 1:
+            out.append(sign + mono if x == 1 else f"{sign}{x}*{mono}")
         else:
-            body = format_gaussian(coeff)
-            if mono:
-                body = f"{body}*{mono}"
-            pieces.append(("+", body))
-    sign, body = pieces[0]
-    out = [f"-{body}" if sign == "-" else body]
-    for sign, body in pieces[1:]:
-        out.append(f" {sign} {body}")
+            out.append(f"{sign}{x}/{d}*{mono}")
+    first = out[0]
+    out[0] = "-" + first[3:] if first[1] == "-" else first[3:]
     return "".join(out)

@@ -6,7 +6,8 @@ oracle enumerates simplex pairs directly; the splitting oracle compares
 evaluations instead of expansions; the term-map oracles multiply and divide
 through the GaussianRational operators, one reduction per operation; the
 calculus oracles substitute by whole-polynomial products and differentiate by
-composing partials, and build g and the pluriharmonic check the long way.
+composing partials, and build g and the pluriharmonic check the long way;
+the printer oracle reads each coefficient through its Fraction parts.
 The corpus generators are the ones ``kholo selftest`` draws from, re-exported
 here.
 """
@@ -246,6 +247,75 @@ def real_imag_coefficient_parts_oracle(p):
         if coeff.im:
             im_terms[exps] = GaussianRational(coeff.im)
     return SparsePoly.from_terms(p.space, re_terms), SparsePoly.from_terms(p.space, im_terms)
+
+
+# -- printer oracle ---------------------------------------------------------------
+
+def _format_rational_oracle(value):
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _imag_piece_oracle(b):
+    if b == 1:
+        return "i"
+    if b == -1:
+        return "-i"
+    return f"{_format_rational_oracle(b)}*i"
+
+
+def format_gaussian_oracle(c):
+    """The canonical scalar text, from the Fraction parts ``c.re`` and ``c.im``."""
+    if c.is_real():
+        return _format_rational_oracle(c.re)
+    re, im = c.re, c.im
+    if re == 0:
+        return f"({_imag_piece_oracle(im)})"
+    sign = "+" if im > 0 else "-"
+    mag = -im if im < 0 else im
+    piece = "i" if mag == 1 else f"{_format_rational_oracle(mag)}*i"
+    return f"({_format_rational_oracle(re)}{sign}{piece})"
+
+
+def _monomial_oracle(space, exps):
+    parts = []
+    for name, e in zip(space.names, exps):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def print_poly_oracle(p):
+    """The canonical polynomial text, each coefficient read through Fractions."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps, coeff in p.terms():
+        mono = _monomial_oracle(p.space, exps)
+        if coeff.is_real():
+            re = coeff.re
+            negative = re < 0
+            mag = -re if negative else re
+            if not mono:
+                body = _format_rational_oracle(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{_format_rational_oracle(mag)}*{mono}"
+            pieces.append(("-" if negative else "+", body))
+        else:
+            body = format_gaussian_oracle(coeff)
+            if mono:
+                body = f"{body}*{mono}"
+            pieces.append(("+", body))
+    sign, body = pieces[0]
+    out = [f"-{body}" if sign == "-" else body]
+    for sign, body in pieces[1:]:
+        out.append(f" {sign} {body}")
+    return "".join(out)
 
 
 # -- splitting oracle -------------------------------------------------------------

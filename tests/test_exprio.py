@@ -2,9 +2,10 @@
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from support import random_poly, seeded
+from support import format_gaussian_oracle, print_poly_oracle, random_poly, seeded
 
 from kholo.errors import (
     DegreeOverflow,
@@ -136,6 +137,71 @@ def test_format_gaussian_forms():
     assert format_gaussian(GaussianRational(0, 1)) == "(i)"
     assert format_gaussian(GaussianRational(0, -1)) == "(-i)"
     assert format_gaussian(GaussianRational(1, Fraction(-1, 3))) == "(1-1/3*i)"
+
+
+# (x + y*i)/d with gcd(x, d) > 1 < gcd(y, d) but gcd(x, y, d) == 1, parts of
+# +-1, a zero real part, negative reals and parts past 10^400
+_NAMED_COEFFICIENTS = [
+    GaussianRational(1, Fraction(1, 2)),
+    GaussianRational(Fraction(2, 3), Fraction(-1, 2)),
+    GaussianRational(Fraction(-3, 2), Fraction(4, 3)),
+    GaussianRational(0, 1), GaussianRational(0, -1),
+    GaussianRational(0, Fraction(5, 6)), GaussianRational(0, Fraction(-6, 5)),
+    GaussianRational(1, 1), GaussianRational(-1, -1), GaussianRational(Fraction(1, 3), -1),
+    GaussianRational(-1), GaussianRational(-7), GaussianRational(Fraction(-7, 4)),
+    GaussianRational(1), GaussianRational(Fraction(1, 10**400 + 1)),
+    GaussianRational(-10**401 - 3, Fraction(10**402, 10**401 + 7)),
+    GaussianRational(Fraction(6 * 10**400, 4 * 10**400 + 2), Fraction(1, 4 * 10**400 + 2)),
+]
+
+
+def _printer_coefficient(rng):
+    """A nonzero-or-zero coefficient whose parts share factors with d, or are +-d or 0."""
+    d = rng.choice([1, 2, 3, 4, 6, 12, 10**401 + 7, 6 * 10**400])
+
+    def part():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.choice([d, -d])
+        if kind == 2:
+            return rng.choice([2, -2, 3, -3]) * rng.randint(1, 6)
+        if kind == 3:
+            return rng.randint(-10**420, 10**420)
+        return rng.randint(-30, 30)
+
+    return GaussianRational(Fraction(part(), d), Fraction(part(), d))
+
+
+def test_format_gaussian_matches_fraction_oracle():
+    rng = seeded(66)
+    coefficients = _NAMED_COEFFICIENTS + [_printer_coefficient(rng) for _ in range(2000)]
+    shared = 0
+    for c in coefficients:
+        assert format_gaussian(c) == format_gaussian_oracle(c)
+        shared += gcd(c.x, c.d) > 1 and c.y != 0
+    assert shared > 100  # the reduced real part of a non-real coefficient is exercised
+    assert format_gaussian(GaussianRational(1, Fraction(1, 2))) == "(1+1/2*i)"
+
+
+@pytest.mark.parametrize("kind", ["xy", "z", "xyt", "zt", "ztw"])
+def test_print_poly_matches_fraction_oracle(kind):
+    rng = seeded(67)
+    for _ in range(300):
+        space = getattr(VarSpace, kind)(rng.choice([1, 2, 3]))
+        width = len(space.names)
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            c = rng.choice(_NAMED_COEFFICIENTS) if rng.random() < 0.2 else _printer_coefficient(rng)
+            terms[tuple(rng.randint(0, 3) for _ in range(width))] = c
+        p = SparsePoly.from_terms(space, terms)
+        assert print_poly(p) == print_poly_oracle(p)
+    for c in _NAMED_COEFFICIENTS:
+        lone = SparsePoly.constant(space, c)
+        assert print_poly(lone) == print_poly_oracle(lone)
+        assert print_poly(lone) == format_gaussian(c)
+    assert print_poly(SparsePoly.zero(space)) == print_poly_oracle(SparsePoly.zero(space)) == "0"
 
 
 def test_graded_lex_descending_output():
