@@ -24,6 +24,7 @@ from itertools import product
 
 from kholo.errors import (
     DegreeZeroBoth,
+    ExpansionTooLarge,
     KholoError,
     NonRealCoefficients,
     SpaceMismatch,
@@ -31,6 +32,7 @@ from kholo.errors import (
     ZeroInput,
 )
 from kholo.polynomials import (
+    MAX_RESULTANT_WORK,
     LinearSubst,
     SparsePoly,
     VarSpace,
@@ -168,6 +170,10 @@ def sylvester_resultant(a, b, name):
     Degree-0 conventions: Res(a, b) = b**deg(a) when b is constant in the
     variable (and symmetrically); both constant is rejected.  A zero result
     signals a common factor of positive degree over the fraction field.
+
+    The call keeps a work budget: |a|*|b| per product of two polynomials and
+    |q|*|d| per exact division, refused with ExpansionTooLarge as soon as the
+    running count passes ``MAX_RESULTANT_WORK``.
     """
     if a.is_zero() or b.is_zero():
         raise ZeroInput("resultant of the zero polynomial")
@@ -175,17 +181,56 @@ def sylvester_resultant(a, b, name):
     db = b.degree_in(name)
     if da <= 0 and db <= 0:
         raise DegreeZeroBoth(f"neither argument uses {name!r}")
+    work = _Work()
     if db <= 0:
-        return drop_variable(b, name) ** da
+        return work.power(drop_variable(b, name), da)
     if da <= 0:
-        return drop_variable(a, name) ** db
+        return work.power(drop_variable(a, name), db)
     if a.space != b.space:
         raise SpaceMismatch(f"{a.space} vs {b.space}")
     return _subresultant_prs(univariate_coefficients(a, name),
-                             univariate_coefficients(b, name))
+                             univariate_coefficients(b, name), work)
 
 
-def _pseudo_remainder(a, b):
+class _Work:
+    """The products and exact divisions of one resultant, counted against its budget."""
+
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 0
+
+    def _charge(self, amount):
+        self.count += amount
+        if self.count > MAX_RESULTANT_WORK:
+            raise ExpansionTooLarge(
+                f"the resultant needs more than {MAX_RESULTANT_WORK} term products "
+                f"(|a|*|b| per product, |q|*|d| per division)")
+
+    def mul(self, a, b):
+        """a * b, charged |a|*|b| before it is formed."""
+        self._charge(len(a) * len(b))
+        return a * b
+
+    def power(self, p, e):
+        """p**e by binary powering, each product charged."""
+        result = None
+        while True:
+            if e & 1:
+                result = p if result is None else self.mul(result, p)
+            e >>= 1
+            if not e:
+                return SparsePoly.constant(p.space, 1) if result is None else result
+            p = self.mul(p, p)
+
+    def divide(self, p, d):
+        """The exact quotient p / d, charged |q|*|d|."""
+        q = exact_divide(p, d)
+        self._charge(len(q) * len(d))
+        return q
+
+
+def _pseudo_remainder(a, b, work):
     """lc(b)^(deg a - deg b + 1) * a mod b, on coefficient lists (lowest first).
 
     Needs deg a >= deg b >= 1.  Returns the remainder's coefficients with
@@ -198,16 +243,16 @@ def _pseudo_remainder(a, b):
         # r := lead * r - c * x^k * b, whose x^(db + k) coefficient cancels
         c = r.pop()
         for j in range(db + k):
-            entry = lead * r[j] if r[j] else r[j]
+            entry = work.mul(lead, r[j]) if r[j] else r[j]
             if c and j >= k and b[j - k]:
-                entry = entry - c * b[j - k]
+                entry = entry - work.mul(c, b[j - k])
             r[j] = entry
     while r and not r[-1]:
         r.pop()
     return r
 
 
-def _subresultant_prs(a, b):
+def _subresultant_prs(a, b, work):
     """Res(a, b) for coefficient lists of degrees >= 1, by the subresultant PRS.
 
     Each step replaces (a, b) by (b, prem(a, b) / (g * h^delta)), where
@@ -235,21 +280,21 @@ def _subresultant_prs(a, b):
         delta = da - db
         if da % 2 and db % 2:
             negate = not negate
-        r = _pseudo_remainder(a, b)
+        r = _pseudo_remainder(a, b, work)
         if not r:
             return SparsePoly.zero(space)
-        divisor = g * h ** delta
+        divisor = work.mul(g, work.power(h, delta))
         if divisor != one:
-            r = [exact_divide(c, divisor) if c else c for c in r]
+            r = [work.divide(c, divisor) if c else c for c in r]
         a, b = b, r
         g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = exact_divide(g ** delta, h ** (delta - 1))
+            h = work.divide(work.power(g, delta), work.power(h, delta - 1))
         if len(b) == 1:
             da = len(a) - 1
-            res = exact_divide(b[0] ** da, h ** (da - 1))
+            res = work.divide(work.power(b[0], da), work.power(h, da - 1))
             return -res if negate else res
 
 

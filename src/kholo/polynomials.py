@@ -51,6 +51,14 @@ MAX_TOTAL_DEGREE = 10**6
 # reference speed with small coefficients, and under 100 us with 2,000-digit
 # ones, so the largest accepted product stays under 1 s.
 MAX_EXPANSION_TERMS = 10**4
+# The most work one resultant (kholo.eliminate.sylvester_resultant) may do,
+# counted as |a|*|b| per product of two polynomials and |q|*|d| per exact
+# division with quotient q.  The test suite peaks at about 40,000 and the
+# benchmark's resultant streams at about 11,000; the discriminant in t of
+# t^12 + (z1^2 + z2)*t^7 + z2^3*t^3 + z1*z2 + 1 counts 710,820 and is
+# accepted, while the t^14 + ...*t^9 member of that family would count about
+# 6,600,000 and is refused when the count passes the budget.
+MAX_RESULTANT_WORK = 2 * 10**6
 
 _NAME_RE = _re.compile(r"^([xyzw])([1-9][0-9]*)$")
 

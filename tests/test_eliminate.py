@@ -16,7 +16,8 @@ from kholo.eliminate import (
     sylvester_resultant,
     verify_annihilator,
 )
-from kholo.errors import DegreeZeroBoth, ZeroDegree, ZeroInput
+from kholo import eliminate
+from kholo.errors import DegreeZeroBoth, ExpansionTooLarge, ZeroDegree, ZeroInput
 from kholo.exprio import parse_poly
 from kholo.polynomials import (
     LinearSubst,
@@ -55,6 +56,32 @@ def pair_from_split(f):
     t = SparsePoly.variable(space, "t")
     return AnnihilatorPair(p1=t - rename_space(f1, space, lift),
                            p2=t - rename_space(f2, space, lift), n=n)
+
+
+# -- the resultant's work budget ----------------------------------------------------
+
+@pytest.mark.parametrize("a, b", [
+    ("t^5 + z1*t^3 + z2*t + 1", "5*t^4 + 3*z1*t^2 + z2"),   # steps with delta 2
+    ("z1*t^2 + 1", "z2"),                                     # b constant in t: b^2
+])
+def test_resultant_work_budget_edge(monkeypatch, a, b):
+    counts = []
+    charge = eliminate._Work._charge
+
+    def recording(work, amount):
+        charge(work, amount)
+        counts.append(work.count)
+
+    monkeypatch.setattr(eliminate._Work, "_charge", recording)
+    a, b = parse_poly(a, VarSpace.zt(2)), parse_poly(b, VarSpace.zt(2))
+    expected = sylvester_resultant(a, b, "t")
+    used = counts[-1]
+    assert used > 0
+    monkeypatch.setattr(eliminate, "MAX_RESULTANT_WORK", used)
+    assert sylvester_resultant(a, b, "t") == expected
+    monkeypatch.setattr(eliminate, "MAX_RESULTANT_WORK", used - 1)
+    with pytest.raises(ExpansionTooLarge, match=f"more than {used - 1} term products"):
+        sylvester_resultant(a, b, "t")
 
 
 # -- resultant goldens -------------------------------------------------------------
