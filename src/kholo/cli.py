@@ -2,6 +2,9 @@
 
 One batch invocation per subcommand; every run writes a single report
 document (or a plain rendering with ``--format plain``) to standard output.
+A handler passes its plain rendering as a callable, so the plain lines (a
+second printing of the candidate, annihilator or discriminant) are built
+only under ``--format plain``.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict (not
 pluriharmonic, degenerate resultant, no route),
@@ -22,7 +25,7 @@ from kholo import reports, selftest
 from kholo.branches import covering_check, discriminant
 from kholo.cartan import check_pluriharmonic, reconstruct_from_real_part, verify_g_holomorphic
 from kholo.eliminate import AnnihilatorPair, eliminate_annihilator
-from kholo.errors import KholoError
+from kholo.errors import DimensionOutOfRange, KholoError
 from kholo.exprio import parse_point, parse_poly, print_poly
 from kholo.polynomials import VarSpace
 from kholo.simplicial import route_path, verify_avoidance
@@ -31,6 +34,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# The largest -n accepted.  Work grows with n even for a constant input
+# (verify-g is quadratic, reconstruct and pluriharmonic about cubic in n);
+# at n = 100 each of them answers "1" in under 0.05 s.
+MAX_DIMENSION = 100
 
 # the stderr prefix of an error, by its exit code
 _PREFIXES = {EXIT_NEGATIVE: "no route", EXIT_INPUT: "error", EXIT_INTERNAL: "internal error"}
@@ -47,8 +55,9 @@ def _read_text_arg(value):
 
 
 def _emit(args, doc, plain_lines):
+    """Write the document, or under ``--format plain`` the lines ``plain_lines()`` returns."""
     if args.format == "plain":
-        for line in plain_lines:
+        for line in plain_lines():
             print(line)
     else:
         sys.stdout.write(reports.dumps(doc))
@@ -60,7 +69,7 @@ def _cmd_reconstruct(args):
     code = EXIT_OK if report.reconstructed else EXIT_NEGATIVE
     doc = reports.document("reconstruct", {"u": reports.poly_to_doc(u)},
                            reports.report_to_doc(report), code)
-    _emit(args, doc, [print_poly(report.candidate)])
+    _emit(args, doc, lambda: [print_poly(report.candidate)])
     return code
 
 
@@ -77,7 +86,7 @@ def _cmd_pluriharmonic(args):
     }
     doc = reports.document("pluriharmonic", {"u": reports.poly_to_doc(u)},
                            result, code)
-    _emit(args, doc, ["true" if verdict else "false"])
+    _emit(args, doc, lambda: ["true" if verdict else "false"])
     return code
 
 
@@ -94,7 +103,7 @@ def _cmd_verify_g(args):
     }
     doc = reports.document("verify-g", {"f": reports.poly_to_doc(f)},
                            result, code)
-    _emit(args, doc, ["true" if verdict else "false"])
+    _emit(args, doc, lambda: ["true" if verdict else "false"])
     return code
 
 
@@ -109,7 +118,7 @@ def _cmd_eliminate(args):
         "eliminate",
         {"p1": reports.poly_to_doc(p1), "p2": reports.poly_to_doc(p2)},
         reports.report_to_doc(report), code)
-    _emit(args, doc, [print_poly(report.annihilator)])
+    _emit(args, doc, lambda: [print_poly(report.annihilator)])
     return code
 
 
@@ -119,7 +128,7 @@ def _cmd_discriminant(args):
     d = discriminant(p, args.t)
     doc = reports.document("discriminant", {"p": reports.poly_to_doc(p)},
                            {"discriminant": reports.poly_to_doc(d)}, EXIT_OK)
-    _emit(args, doc, [print_poly(d)])
+    _emit(args, doc, lambda: [print_poly(d)])
     return EXIT_OK
 
 
@@ -131,8 +140,9 @@ def _cmd_fibers(args):
     report = covering_check(p, points)
     doc = reports.document("fibers", {"p": reports.poly_to_doc(p)},
                            reports.report_to_doc(report), EXIT_OK)
-    counts = " ".join(str(s.fiber_count) for s in report.samples)
-    _emit(args, doc, [f"degree {report.covering_degree} counts {counts}"])
+    _emit(args, doc, lambda: [
+        f"degree {report.covering_degree} counts "
+        + " ".join(str(s.fiber_count) for s in report.samples)])
     return EXIT_OK
 
 
@@ -152,8 +162,7 @@ def _cmd_route(args):
     if witness is not None:
         result["violation"] = {"segment": witness[0], "face": list(witness[1])}
     doc = reports.document("route", {"complex": payload}, result, code)
-    plain = [" ".join(str(c) for c in point) for point in path.waypoints]
-    _emit(args, doc, plain)
+    _emit(args, doc, lambda: [" ".join(str(c) for c in point) for point in path.waypoints])
     return code
 
 
@@ -226,6 +235,9 @@ def main(argv=None):
     names = argv[:1] if argv and argv[0] in SUBCOMMANDS else list(SUBCOMMANDS)
     args = build_parser(names).parse_args(argv)
     try:
+        n = getattr(args, "n", None)
+        if n is not None and not 1 <= n <= MAX_DIMENSION:
+            raise DimensionOutOfRange(f"dimension -n {n} is outside 1..{MAX_DIMENSION}")
         return args.handler(args)
     except KholoError as exc:
         print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)

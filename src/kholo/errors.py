@@ -56,6 +56,10 @@ class IndexOutOfRange(InputError):
     """A complex-coordinate index is outside 1..n."""
 
 
+class DimensionOutOfRange(InputError):
+    """The number of complex dimensions is below 1 or above the supported bound."""
+
+
 class DegreeOverflow(InputError):
     """A computed degree exceeds the supported bound."""
 

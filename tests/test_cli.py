@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from kholo import reports
-from kholo.cli import main
+from kholo.cli import MAX_DIMENSION, main
 from kholo.simplicial import Subcomplex
 from support import grid_complex
 
@@ -153,6 +153,22 @@ def test_expansion_past_the_budget_is_input_error(capsys):
     code, out, err = run(capsys, "verify-g", "-n", "1", "10^5000*z")
     assert (code, out) == (2, "")
     assert err.startswith("error: power 5000 builds integers")
+
+
+@pytest.mark.parametrize("command, operands", [
+    ("reconstruct", ["1"]), ("pluriharmonic", ["1"]), ("verify-g", ["1"]),
+    ("eliminate", ["t", "t"]), ("discriminant", ["t^2"]), ("fibers", ["t^2 - 2"]),
+])
+def test_dimension_bound(capsys, command, operands):
+    def argv(n):
+        points = [",".join(["1"] * n)] if command == "fibers" else []  # one sample point
+        return [command, "-n", str(n), "--", *operands, *points]
+
+    code, _, err = run(capsys, *argv(MAX_DIMENSION))
+    assert code == 0, err
+    for n in (0, -1, MAX_DIMENSION + 1):
+        assert run(capsys, *argv(n)) == (
+            2, "", f"error: dimension -n {n} is outside 1..{MAX_DIMENSION}\n")
 
 
 def test_expression_from_file(tmp_path, capsys):

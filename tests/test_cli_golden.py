@@ -130,6 +130,13 @@ CASES = [
      ["discriminant", "-n", "2", "--format", "plain", "(t - z1)^2*(t - z2)"], None),
     ("discriminant-binomial-plain",
      ["discriminant", "-n", "1", "--format", "plain", "t^4 + z1"], None),
+    # the resultant's work budget (polynomials.MAX_RESULTANT_WORK): the
+    # degree-12 member of this family is accepted, the degree-14 one refused
+    ("discriminant-budget-largest-accepted-plain",
+     ["discriminant", "-n", "2", "--format", "plain", "--",
+      "t^12 + (z1^2 + z2)*t^7 + z2^3*t^3 + z1*z2 + 1"], None),
+    ("discriminant-budget-refused",
+     ["discriminant", "-n", "2", "--", "t^14 + (z1^2 + z2)*t^9 + z2^3*t^3 + z1*z2 + 1"], None),
     # fibers
     ("fibers-doc", ["fibers", "-n", "1", "t^2 - z1", "1; 2; 1+i; -1"], None),
     ("fibers-plain", ["fibers", "-n", "1", "--format", "plain", "t^3 - z1", "1; 2"], None),
@@ -180,6 +187,11 @@ CASES = [
     ("eliminate-help", ["eliminate", "-h"], None),
     ("fibers-help", ["fibers", "-h"], None),
     ("reconstruct-bad-dimension", ["reconstruct", "-n", "two", "x"], None),
+    # -n outside 1..cli.MAX_DIMENSION
+    ("eliminate-dimension-zero", ["eliminate", "-n", "0", "--", "t", "t"], None),
+    ("reconstruct-dimension-negative", ["reconstruct", "-n", "-1", "--", "1"], None),
+    ("verify-g-dimension-past-bound", ["verify-g", "-n", "101", "--", "1"], None),
+    ("verify-g-dimension-million", ["verify-g", "-n", "1000000", "--", "1"], None),
     ("fibers-missing-points", ["fibers", "-n", "1", "t^2 - z1"], None),
 ]
 
