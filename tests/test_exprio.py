@@ -156,7 +156,7 @@ _NAMED_COEFFICIENTS = [
 
 
 def _printer_coefficient(rng):
-    """A nonzero-or-zero coefficient whose parts share factors with d, or are +-d or 0."""
+    """A coefficient whose parts share factors with d, or are +-d or 0."""
     d = rng.choice([1, 2, 3, 4, 6, 12, 10**401 + 7, 6 * 10**400])
 
     def part():
@@ -193,7 +193,8 @@ def test_print_poly_matches_fraction_oracle(kind):
         width = len(space.names)
         terms = {}
         for _ in range(rng.randint(0, 6)):
-            c = rng.choice(_NAMED_COEFFICIENTS) if rng.random() < 0.2 else _printer_coefficient(rng)
+            named = rng.random() < 0.2
+            c = rng.choice(_NAMED_COEFFICIENTS) if named else _printer_coefficient(rng)
             terms[tuple(rng.randint(0, 3) for _ in range(width))] = c
         p = SparsePoly.from_terms(space, terms)
         assert print_poly(p) == print_poly_oracle(p)
