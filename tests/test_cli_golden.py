@@ -114,6 +114,12 @@ CASES = [
     ("eliminate-unknown-variable", ["eliminate", "-n", "1", "t - z1", "t"], None),
     ("eliminate-cubic-quadratic-plain",
      ["eliminate", "-n", "1", "--format", "plain", "t^3 - x*t + y", "t^2 - y"], None),
+    ("eliminate-mixed-denominators-plain",
+     ["eliminate", "-n", "1", "--format", "plain", "--",
+      "1/2*t^2 - 1/3*x*t + 5/6*y", "2/3*t - 1/6*x^2 + 3/2*y"], None),
+    ("eliminate-mixed-denominators-translated-plain",
+     ["eliminate", "-n", "1", "--format", "plain", "--",
+      "1/2*y*t^2 + 5/6*x - 1/3", "2/3*t^2 - 1/6*x^2*t + 3/2*y"], None),
     # discriminant
     ("discriminant-doc", ["discriminant", "-n", "1", "t^2 - z1"], None),
     ("discriminant-n2-plain", ["discriminant", "-n", "2", "--format", "plain", "t^3 - z1*t + z2"], None),
@@ -137,6 +143,13 @@ CASES = [
       "t^12 + (z1^2 + z2)*t^7 + z2^3*t^3 + z1*z2 + 1"], None),
     ("discriminant-budget-refused",
      ["discriminant", "-n", "2", "--", "t^14 + (z1^2 + z2)*t^9 + z2^3*t^3 + z1*z2 + 1"], None),
+    # coefficients with mixed denominators 2, 3 and 6, which the resultant
+    # clears before its remainder sequence and divides out after it
+    ("discriminant-mixed-denominators-plain",
+     ["discriminant", "-n", "1", "--format", "plain", "--",
+      "(1/2 + 7/3*i)*t^3 + 2/3*z1*t + 5/6"], None),
+    ("discriminant-mixed-denominators-n2",
+     ["discriminant", "-n", "2", "--", "1/2*t^4 - 2/3*z1*t^2 + (5/6 - 1/4*i)*z2*t + 1/3"], None),
     # fibers
     ("fibers-doc", ["fibers", "-n", "1", "t^2 - z1", "1; 2; 1+i; -1"], None),
     ("fibers-plain", ["fibers", "-n", "1", "--format", "plain", "t^3 - z1", "1; 2"], None),
@@ -145,6 +158,11 @@ CASES = [
     ("fibers-leading-vanishes", ["fibers", "-n", "1", "z1*t^2 + t + 1", "0"], None),
     ("fibers-arity", ["fibers", "-n", "2", "t^2 - z1", "1"], None),
     ("fibers-huge-coefficient", ["fibers", "-n", "1", "t^2 - 10^400*z1", "1; 2"], None),
+    ("fibers-mixed-denominators",
+     ["fibers", "-n", "1", "--", "(1/2 + 7/3*i)*t^3 + 2/3*z1*t + 5/6", "1; 2; 1/2+i; 0"], None),
+    ("fibers-mixed-denominators-n2-plain",
+     ["fibers", "-n", "2", "--format", "plain", "--", "1/2*t^3 - 2/3*z1*t + 5/6*z2",
+      "1, 1; 1/3, 1/2"], None),
     # route
     ("route-doc", ["route", "-"], _doc(2, _STRIP, _STRIP_TOP, [[1]], [0, 5])),
     ("route-plain", ["route", "--format", "plain", "-"],
