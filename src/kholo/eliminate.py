@@ -38,6 +38,7 @@ from kholo.polynomials import (
     VarSpace,
     drop_variable,
     exact_divide,
+    mul_sub,
     substitute_variable,
     univariate_coefficients,
 )
@@ -167,6 +168,16 @@ def sylvester_resultant(a, b, name):
     divisions are all exact by the subresultant theorem: see
     ``_subresultant_prs``.
 
+    The sequence runs over Z[i]: with L_a and L_b the lcm of the coefficient
+    denominators of a and b, it takes L_a*a and L_b*b, whose subresultants
+    (minors of the Sylvester matrix) all have Gaussian-integer coefficients,
+    and divides once at the end by the scaling identity
+
+        Res(L_a*a, L_b*b) = L_a^(deg b) * L_b^(deg a) * Res(a, b),
+
+    with degrees in ``name``.  Scaling changes no term count, so the work
+    below is the same as over Q(i).
+
     Degree-0 conventions: Res(a, b) = b**deg(a) when b is constant in the
     variable (and symmetrically); both constant is rejected.  A zero result
     signals a common factor of positive degree over the fraction field.
@@ -188,8 +199,16 @@ def sylvester_resultant(a, b, name):
         return work.power(drop_variable(a, name), db)
     if a.space != b.space:
         raise SpaceMismatch(f"{a.space} vs {b.space}")
-    return _subresultant_prs(univariate_coefficients(a, name),
-                             univariate_coefficients(b, name), work)
+    la, lb = a.denominator(), b.denominator()
+    ca = univariate_coefficients(a, name)
+    cb = univariate_coefficients(b, name)
+    if la != 1:
+        ca = [c.scale(la) for c in ca]
+    if lb != 1:
+        cb = [c.scale(lb) for c in cb]
+    res = _subresultant_prs(ca, cb, work)
+    scale = la ** db * lb ** da
+    return res if scale == 1 else res.scale(Fraction(1, scale))
 
 
 class _Work:
@@ -211,6 +230,11 @@ class _Work:
         """a * b, charged |a|*|b| before it is formed."""
         self._charge(len(a) * len(b))
         return a * b
+
+    def mul_sub(self, a, b, c, d):
+        """a*b - c*d, charged |a|*|b| + |c|*|d| before it is formed."""
+        self._charge(len(a) * len(b) + len(c) * len(d))
+        return mul_sub(a, b, c, d)
 
     def power(self, p, e):
         """p**e by binary powering, each product charged."""
@@ -234,19 +258,21 @@ def _pseudo_remainder(a, b, work):
     """lc(b)^(deg a - deg b + 1) * a mod b, on coefficient lists (lowest first).
 
     Needs deg a >= deg b >= 1.  Returns the remainder's coefficients with
-    trailing zeros dropped, so [] for a zero remainder.
+    trailing zeros dropped, so [] for a zero remainder.  Each new entry
+    lead*r[j] - c*b[j - k] is formed by one ``mul_sub``, which reduces each
+    of its coefficients once.
     """
     r = list(a)
     lead = b[-1]
     db = len(b) - 1
+    zero = SparsePoly.zero(lead.space)
     for k in range(len(a) - len(b), -1, -1):
         # r := lead * r - c * x^k * b, whose x^(db + k) coefficient cancels
         c = r.pop()
         for j in range(db + k):
-            entry = work.mul(lead, r[j]) if r[j] else r[j]
-            if c and j >= k and b[j - k]:
-                entry = entry - work.mul(c, b[j - k])
-            r[j] = entry
+            shifted = b[j - k] if j >= k else zero
+            if r[j] or (c and shifted):
+                r[j] = work.mul_sub(lead, r[j], c, shifted)
     while r and not r[-1]:
         r.pop()
     return r

@@ -15,7 +15,7 @@ lexicographically with respect to the space's fixed variable order.
 import re as _re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb
+from math import comb, lcm
 from operator import add, neg, sub
 
 from kholo.errors import (
@@ -40,6 +40,7 @@ from kholo.rationals import (
     as_gaussian,
     terms_add,
     terms_mul,
+    terms_mul_sub,
     terms_scale,
     terms_sub,
 )
@@ -78,7 +79,7 @@ def variable_kind(name):
 class VarSpace:
     """An ordered, kind-tagged variable list with n complex dimensions."""
 
-    __slots__ = ("names", "n", "_index", "_kinds")
+    __slots__ = ("names", "n", "_index", "_kinds", "_pairs")
 
     def __init__(self, names, n):
         names = tuple(names)
@@ -88,6 +89,11 @@ class VarSpace:
         self.names = names
         self.n = n
         self._index = {name: k for k, name in enumerate(names)}
+        # names are distinct and carry no leading zeros, so indices of one kind are too
+        xs = {idx for kind, idx in self._kinds if kind == "x"}
+        ys = {idx for kind, idx in self._kinds if kind == "y"}
+        complete = xs == ys and xs == set(range(1, len(xs) + 1))
+        self._pairs = len(xs) if complete else None
 
     # -- factories for the spaces the pipelines use ------------------------
 
@@ -164,11 +170,9 @@ class VarSpace:
 
     def xy_pair_count(self):
         """Number of (x_j, y_j) pairs; raises unless the pairs are complete."""
-        xs = sorted(idx for kind, idx in self._kinds if kind == "x")
-        ys = sorted(idx for kind, idx in self._kinds if kind == "y")
-        if xs != ys or xs != list(range(1, len(xs) + 1)):
+        if self._pairs is None:
             raise IndexOutOfRange(f"{self} does not carry complete x/y pairs")
-        return len(xs)
+        return self._pairs
 
 
 class SparsePoly:
@@ -279,6 +283,10 @@ class SparsePoly:
     def has_real_coefficients(self):
         return all(c.is_real() for c in self._terms.values())
 
+    def denominator(self):
+        """The lcm of the coefficient denominators; 1 for the zero polynomial."""
+        return lcm(*{c.d for c in self._terms.values()})
+
     def validate(self):
         """Assert canonical-form invariants; for tests and debugging."""
         width = len(self.space.names)
@@ -386,26 +394,48 @@ class SparsePoly:
         return SparsePoly(self.space, terms)
 
     def eval(self, point):
-        """Exact value at a full assignment {name: scalar}."""
-        from kholo.rationals import GQ_ZERO
+        """Exact value at a full assignment {name: scalar}.
+
+        The powers of the point are cached as unreduced integer triples
+        (x, y, d), each term's value is one such triple, and the sum adds
+        them into one accumulator, which is reduced once.
+        """
         values = {}
         for name in self.variables_present():
             if name not in point:
                 raise IncompleteAssignment(f"no value for {name!r}")
             values[self.space.index(name)] = as_gaussian(point[name])
-        total = GQ_ZERO
+        total = [0, 0, 1]
         powers = {}
-        for exps, coeff in self._terms.items():
-            term = coeff
+        for exps, c in self._terms.items():
+            x, y, d = c.x, c.y, c.d
             for k, e in enumerate(exps):
                 if e:
                     cached = powers.get((k, e))
                     if cached is None:
-                        cached = values[k] ** e
-                        powers[(k, e)] = cached
-                    term = term * cached
-            total = total + term
-        return total
+                        cached = powers[k, e] = _power_triple(values[k], e)
+                    px, py, pd = cached
+                    x, y, d = x * px - y * py, x * py + y * px, d * pd
+            if total[2] == d:
+                total[0] += x
+                total[1] += y
+            else:
+                _add_over_lcm(total, x, y, d)
+        return _lowest(*total)
+
+
+def _power_triple(c, e):
+    """c**e for e >= 1 as an unreduced triple (x, y, d), by binary powering."""
+    d = c.d ** e
+    x, y = 1, 0
+    bx, by = c.x, c.y
+    while True:
+        if e & 1:
+            x, y = x * bx - y * by, x * by + y * bx
+        e >>= 1
+        if not e:
+            return x, y, d
+        bx, by = bx * bx - by * by, 2 * bx * by
 
 
 class LinearSubst:
@@ -679,6 +709,19 @@ def substitute_variable(p, name, value):
     for c in reversed(lifted[:-1]):
         result = result * value + c
     return result
+
+
+def mul_sub(a, b, c, d):
+    """a*b - c*d in one pass over both products; each coefficient is reduced once.
+
+    Makes the degree check of ``SparsePoly.__mul__`` for both products.
+    """
+    for other in (b, c, d):
+        a._check_space(other)
+    if max(a.total_degree() + b.total_degree(),
+           c.total_degree() + d.total_degree()) > MAX_TOTAL_DEGREE:
+        raise DegreeOverflow("product degree exceeds the supported bound")
+    return SparsePoly(a.space, terms_mul_sub(a._terms, b._terms, c._terms, d._terms))
 
 
 def exact_divide(p, d):

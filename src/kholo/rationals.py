@@ -284,13 +284,13 @@ def terms_scale(a, c):
     return out
 
 
-def terms_mul(a, b):
-    if not a or not b:
-        return {}
-    if len(a) < len(b):
-        a, b = b, a
-    cols = [(e, c.x, c.y, c.d) for e, c in b.items()]
-    acc = {}
+def _product_into(acc, a, cols):
+    """acc += a * b, with b given as rows (exps, x, y, d), unreduced.
+
+    The product loop of ``terms_mul`` and ``terms_mul_sub``: each pair of
+    terms adds its Gaussian-integer numerator into the accumulator entry of
+    its exponent, over the lcm of the denominators only when they differ.
+    """
     for ea, ca in a.items():
         xa, ya, da = ca.x, ca.y, ca.d
         for eb, xb, yb, db in cols:
@@ -306,6 +306,32 @@ def terms_mul(a, b):
                 s[1] += y
             else:
                 _add_over_lcm(s, x, y, d)
+
+
+def terms_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) < len(b):
+        a, b = b, a
+    acc = {}
+    _product_into(acc, a, [(e, c.x, c.y, c.d) for e, c in b.items()])
+    return _reduced(acc)
+
+
+def terms_mul_sub(a, b, c, d):
+    """a*b - c*d in one accumulator, each output term reduced once.
+
+    Either product may be empty; exact cancellation gives {}.
+    """
+    acc = {}
+    if a and b:
+        if len(a) < len(b):
+            a, b = b, a
+        _product_into(acc, a, [(e, v.x, v.y, v.d) for e, v in b.items()])
+    if c and d:
+        if len(c) < len(d):
+            c, d = d, c
+        _product_into(acc, c, [(e, -v.x, -v.y, v.d) for e, v in d.items()])
     return _reduced(acc)
 
 
@@ -323,6 +349,7 @@ __all__ = [
     "terms_add",
     "terms_add_into",
     "terms_mul",
+    "terms_mul_sub",
     "terms_scale",
     "terms_sub",
 ]

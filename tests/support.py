@@ -7,7 +7,8 @@ evaluations instead of expansions; the term-map oracles multiply and divide
 through the GaussianRational operators, one reduction per operation; the
 calculus oracles substitute by whole-polynomial products and differentiate by
 composing partials, and build g and the pluriharmonic check the long way;
-the printer oracle reads each coefficient through its Fraction parts.
+the printer oracle reads each coefficient through its Fraction parts; the
+evaluation oracle sums reduced GaussianRational products.
 The corpus generators are the ones ``kholo selftest`` draws from, re-exported
 here.
 """
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 from kholo.errors import (
     DegreeOverflow,
+    IncompleteAssignment,
     IncompleteSubstitution,
     IndexOutOfRange,
     InexactDivision,
@@ -34,7 +36,9 @@ from kholo.rationals import (
     GQ_HALF,
     GQ_I,
     GQ_MINUS_I,
+    GQ_ZERO,
     GaussianRational,
+    as_gaussian,
     terms_add_into,
     terms_scale,
     terms_sub,
@@ -154,6 +158,29 @@ def try_divide_oracle(p, d):
         quotient[exps] = coeff
         rest = terms_sub(rest, terms_mul_oracle({exps: coeff}, divisor))
     return SparsePoly.from_terms(p.space, quotient)
+
+
+def eval_oracle(p, point):
+    """``p.eval(point)`` through the GaussianRational operators: every power,
+    product and partial sum is reduced."""
+    values = {}
+    for name in p.variables_present():
+        if name not in point:
+            raise IncompleteAssignment(f"no value for {name!r}")
+        values[p.space.index(name)] = as_gaussian(point[name])
+    total = GQ_ZERO
+    powers = {}
+    for exps, coeff in p.terms():
+        term = coeff
+        for k, e in enumerate(exps):
+            if e:
+                cached = powers.get((k, e))
+                if cached is None:
+                    cached = values[k] ** e
+                    powers[(k, e)] = cached
+                term = term * cached
+        total = total + term
+    return total
 
 
 # -- calculus oracles -------------------------------------------------------------

@@ -5,7 +5,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from support import evaluate_complex, laplace_det, random_gq, random_poly, seeded
+from support import (
+    evaluate_complex,
+    laplace_det,
+    random_gq,
+    random_poly,
+    random_term_map,
+    seeded,
+)
 
 from kholo.eliminate import (
     AnnihilatorPair,
@@ -17,6 +24,7 @@ from kholo.eliminate import (
     verify_annihilator,
 )
 from kholo import eliminate
+from kholo.branches import discriminant
 from kholo.errors import DegreeZeroBoth, ExpansionTooLarge, ZeroDegree, ZeroInput
 from kholo.exprio import parse_poly
 from kholo.polynomials import (
@@ -63,6 +71,8 @@ def pair_from_split(f):
 @pytest.mark.parametrize("a, b", [
     ("t^5 + z1*t^3 + z2*t + 1", "5*t^4 + 3*z1*t^2 + z2"),   # steps with delta 2
     ("z1*t^2 + 1", "z2"),                                     # b constant in t: b^2
+    ("1/2*t^5 + 2/3*z1*t^3 + 5/6*z2*t + 1/3",                # denominators cleared
+     "5/2*t^4 + 2*z1*t^2 + 5/6*z2"),
 ])
 def test_resultant_work_budget_edge(monkeypatch, a, b):
     counts = []
@@ -82,6 +92,20 @@ def test_resultant_work_budget_edge(monkeypatch, a, b):
     monkeypatch.setattr(eliminate, "MAX_RESULTANT_WORK", used - 1)
     with pytest.raises(ExpansionTooLarge, match=f"more than {used - 1} term products"):
         sylvester_resultant(a, b, "t")
+
+
+def test_the_cited_degree_12_discriminant_charges_710820(monkeypatch):
+    counts = []
+    charge = eliminate._Work._charge
+
+    def recording(work, amount):
+        charge(work, amount)
+        counts.append(work.count)
+
+    monkeypatch.setattr(eliminate._Work, "_charge", recording)
+    p = parse_poly("t^12 + (z1^2 + z2)*t^7 + z2^3*t^3 + z1*z2 + 1", VarSpace.zt(2))
+    discriminant(p, "t")
+    assert counts[-1] == 710_820
 
 
 # -- resultant goldens -------------------------------------------------------------
@@ -109,6 +133,11 @@ def test_resultant_degree_zero_convention():
     assert r == zt("(z1 + 2)^3")
     r = sylvester_resultant(ztw("z1 + 2", n=1), ztw("w0^2", n=1), "w0")
     assert r == zt("(z1 + 2)^2")
+    # these branches come before the denominators are cleared
+    r = sylvester_resultant(ztw("1/2*w0^3 - 1/3*z1", n=1), ztw("2/3*z1 + 5/6", n=1), "w0")
+    assert r == zt("(2/3*z1 + 5/6)^3")
+    r = sylvester_resultant(ztw("2/3*z1 + 5/6", n=1), ztw("1/6*w0^2 - z1", n=1), "w0")
+    assert r == zt("(2/3*z1 + 5/6)^2")
 
 
 def test_resultant_rejects_degenerate_inputs():
@@ -295,9 +324,92 @@ def test_prs_matches_bareiss_random(n, max_degree):
     ("w0^3 - z1*w0 + 1", "w0 + z1"),
     ("w0^3 + z1", "w0^5 - w0 + z1^2"),
     ("z1*w0^3 + w0^2 - 1", "w0^3 + (1 + i)*z1"),
+    # Gaussian-integer coefficients beyond 1 and i
+    ("w0^3 + (2 + i)*z1*w0 - 3", "4*w0^2 - z1"),
+    ("(1 - i)*w0^4 + z1^2*w0 + 7", "w0^3 - 2*i*z1"),
 ])
 def test_prs_matches_bareiss_examples(a, b):
-    _assert_matches_bareiss(_w(a), _w(b))
+    # every example has L_a = L_b = 1: nothing is scaled at entry or divided out
+    a, b = _w(a), _w(b)
+    assert a.denominator() == b.denominator() == 1
+    _assert_matches_bareiss(a, b)
+
+
+# -- denominators cleared at entry ------------------------------------------------------
+
+def _with_denominators(space, name, degree, rng, huge=False):
+    """Exact degree ``degree`` in ``name``; coefficients with mixed denominators,
+    past 10^400 when ``huge``."""
+    base = space.drop(name)
+    width = len(base.names)
+    w = SparsePoly.variable(space, name)
+    p = SparsePoly.zero(space)
+    for k in range(degree + 1):
+        terms = random_term_map(rng, width, rng.randint(0, 3), huge)
+        if k == degree and not terms:
+            terms = {(0,) * width: GaussianRational(Fraction(5, 6))}
+        p = p + w ** k * _lift(SparsePoly.from_terms(base, terms), space)
+    return p
+
+
+@pytest.mark.parametrize("n, huge", [(1, False), (2, False), (1, True)])
+def test_prs_matches_both_determinants_on_mixed_denominators(n, huge):
+    rng = seeded(44 + n + 2 * huge)
+    space = _w_space(n)
+    most = 2 if huge else 3
+    for _ in range(6 if huge else 12):
+        a = _with_denominators(space, "w0", rng.randint(1, most), rng, huge)
+        b = _with_denominators(space, "w0", rng.randint(1, most), rng, huge)
+        for p, q in ((a, b), (b, a)):
+            matrix = sylvester_matrix(p, q, "w0")
+            assert sylvester_resultant(p, q, "w0") == bareiss_determinant(matrix)
+            assert sylvester_resultant(p, q, "w0") == laplace_det(matrix)
+
+
+def test_resultant_scaling_identity():
+    rng = seeded(47)
+    space = _w_space(1)
+    for _ in range(10):
+        a = _with_denominators(space, "w0", rng.randint(1, 3), rng)
+        b = _with_denominators(space, "w0", rng.randint(1, 3), rng)
+        la, lb = rng.choice([2, 6, 35, Fraction(1, 6)]), rng.choice([3, 10, Fraction(2, 15)])
+        da, db = a.degree_in("w0"), b.degree_in("w0")
+        assert (sylvester_resultant(a * la, b * lb, "w0")
+                == sylvester_resultant(a, b, "w0") * (la ** db * lb ** da))
+
+
+def test_prs_kernels_see_only_gaussian_integers(monkeypatch):
+    a = _w("(1/2 + 7/3*i)*w0^3 + 2/3*z1*w0 + 5/6")
+    b = _w("1/3*w0^2 - 1/4*z1 + 1/6")
+    expected = bareiss_determinant(sylvester_matrix(a, b, "w0"))
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            seen.extend(p.denominator() for p in args + (out,)
+                        if isinstance(p, SparsePoly))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(eliminate, "mul_sub", spy(eliminate.mul_sub))
+    monkeypatch.setattr(eliminate, "exact_divide", spy(eliminate.exact_divide))
+    monkeypatch.setattr(eliminate._Work, "mul", spy(eliminate._Work.mul))
+    assert sylvester_resultant(a, b, "w0") == expected
+    assert sylvester_resultant(b, a, "w0") == expected  # (-1)^(3*2)
+    assert seen and set(seen) == {1}
+
+
+def test_prs_is_zero_on_a_common_factor_with_denominators():
+    rng = seeded(48)
+    space = _w_space(1)
+    for huge, most in ((False, 2), (True, 1)):
+        for _ in range(4):
+            c = _with_denominators(space, "w0", rng.randint(1, most), rng, huge)
+            a = c * _with_denominators(space, "w0", rng.randint(0, most), rng)
+            b = c * _with_denominators(space, "w0", rng.randint(0, most), rng)
+            assert sylvester_resultant(a, b, "w0").is_zero()
+            assert sylvester_resultant(b, a, "w0").is_zero()
 
 
 def test_prs_is_zero_on_a_common_factor_random():

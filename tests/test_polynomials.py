@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from support import (
+    assert_canonical_gq,
+    eval_oracle,
     random_fraction,
     random_gq,
     random_poly,
@@ -30,6 +32,7 @@ from kholo.polynomials import (
     SparsePoly,
     VarSpace,
     exact_divide,
+    mul_sub,
     split_real_imag,
     substitute_variable,
     try_divide,
@@ -74,6 +77,8 @@ def test_complex_coefficient_product():
 def test_space_mismatch_rejected():
     with pytest.raises(SpaceMismatch):
         zp("z1") + xy("x1")
+    with pytest.raises(SpaceMismatch):
+        mul_sub(zp("1"), zp("1"), zp("1"), xy("1"))
 
 
 def test_zero_terms_never_stored():
@@ -95,6 +100,31 @@ def test_degree_overflow_guard():
         p * p
     with pytest.raises(DegreeOverflow):
         p ** 3
+    one = zp("1")
+    with pytest.raises(DegreeOverflow):
+        mul_sub(p, p, one, one)
+    with pytest.raises(DegreeOverflow):
+        mul_sub(one, one, p, p)
+
+
+def test_mul_sub_is_the_difference_of_products():
+    a, b, c, d = zp("z1 + 1/2"), zp("z1 - 1/3"), zp("2/3*z1"), zp("z1 + i")
+    assert mul_sub(a, b, c, d) == a * b - c * d
+    assert mul_sub(a, b, a, b).is_zero()
+    assert mul_sub(a, b, SparsePoly.zero(Z1), d) == a * b
+    assert mul_sub(SparsePoly.zero(Z1), b, c, d) == -(c * d)
+
+
+def test_xy_pair_count():
+    assert VarSpace.xyt(3).xy_pair_count() == 3
+    assert VarSpace.xy(1).xy_pair_count() == 1
+    assert VarSpace.zt(2).xy_pair_count() == 0
+    for names in (["x1", "y2"], ["x1", "x2", "y1"], ["x2", "y2"], ["y1", "x1", "y3", "x3"]):
+        space = VarSpace(names, 1)
+        with pytest.raises(IndexOutOfRange,
+                           match=rf"^\({', '.join(names)}\) does not carry complete x/y pairs$"):
+            space.xy_pair_count()
+    assert VarSpace(["y2", "t", "x1", "y1", "x2"], 2).xy_pair_count() == 2
 
 
 # -- partial derivatives ---------------------------------------------------------
@@ -207,6 +237,34 @@ def test_eval_at_zero_gives_constant_term():
 def test_eval_incomplete_assignment():
     with pytest.raises(IncompleteAssignment):
         parse_poly("t - z1", ZT1).eval({"t": 1})
+    with pytest.raises(IncompleteAssignment):
+        eval_oracle(parse_poly("t - z1", ZT1), {"t": 1})
+
+
+def test_eval_matches_the_operator_oracle():
+    rng = seeded(85)
+    for trial in range(120):
+        width = rng.randint(1, 3)
+        space = VarSpace([f"z{j}" for j in range(1, width + 1)], width)
+        huge = trial % 4 == 0
+        p = SparsePoly.from_terms(space, random_term_map(rng, width, rng.randint(0, 8), huge))
+        point = {}
+        for name in space.names:
+            if rng.random() < 0.2:
+                point[name] = 0
+            elif huge and rng.random() < 0.5:
+                point[name] = GaussianRational(Fraction(rng.randint(-10**420, 10**420),
+                                                        rng.randint(1, 10**410)),
+                                               rng.randint(-10**405, 10**405))
+            else:
+                point[name] = random_gq(rng)
+        value = p.eval(point)
+        assert value == eval_oracle(p, point)
+        assert_canonical_gq(value)
+        # a polynomial that vanishes at the point evaluates to the canonical zero
+        zero = (p - value).eval(point)
+        assert not zero
+        assert (zero.x, zero.y, zero.d) == (0, 0, 1)
 
 
 # -- splitting and Wirtinger calculus ------------------------------------------------

@@ -19,6 +19,7 @@ from kholo.rationals import (
     GaussianRational,
     terms_add,
     terms_mul,
+    terms_mul_sub,
     terms_sub,
 )
 
@@ -219,6 +220,31 @@ def test_terms_mul_matches_the_operator_oracle():
         # (a + b)(a - b) = a^2 - b^2: the cross terms cancel to zero
         assert (terms_mul(terms_add(a, b), terms_sub(a, b))
                 == terms_sub(terms_mul_oracle(a, a), terms_mul_oracle(b, b)))
+
+
+def test_terms_mul_sub_matches_the_operator_oracle():
+    rng = seeded(86)
+    for trial in range(100):
+        width = rng.randint(1, 4)
+        a, b, c, d = (random_term_map(rng, width, rng.randint(0, 6), huge=trial % (3 + k) == 0)
+                      for k in range(4))
+        got = terms_mul_sub(a, b, c, d)
+        assert got == terms_sub(terms_mul_oracle(a, b), terms_mul_oracle(c, d))
+        for v in got.values():
+            assert v
+            assert_canonical_gq(v)
+        # exact cancellation, in either order of the factors
+        assert terms_mul_sub(a, b, a, b) == {}
+        assert terms_mul_sub(a, b, b, a) == {}
+
+
+def test_terms_mul_sub_with_empty_factors():
+    a = {(1, 0): gq(Fraction(1, 3), 2), (0, 2): gq(Fraction(-5, 6))}
+    b = {(0, 1): gq(Fraction(1, 2), Fraction(-7, 3)), (0, 0): gq(4)}
+    assert terms_mul_sub({}, {}, {}, {}) == {}
+    assert terms_mul_sub(a, b, {}, a) == terms_mul_sub(a, b, b, {}) == terms_mul_oracle(a, b)
+    minus = terms_sub({}, terms_mul_oracle(a, b))
+    assert terms_mul_sub({}, b, a, b) == terms_mul_sub(a, {}, b, a) == minus
 
 
 def test_terms_mul_of_an_empty_map_is_empty():
