@@ -1,20 +1,25 @@
-"""Seeded self-checks runnable from the command line.
+"""Seeded checks shared by ``kholo selftest`` and the acceptance suite.
 
-A fast, deterministic subset of the full test suite: field axioms, the
-reconstruction round trip, the elimination pipeline, discriminant goldens,
-fiber constancy, a routed grid, and parser round trips.  Each check prints
-one line; the runner returns a process exit code.  The random corpus
-generators below are also the test suite's (``tests/support.py``).
+Each check runs one pipeline over a seeded corpus and returns None, or a
+one-line description of the first failure; none relies on ``assert``, so
+``python -O`` runs them all.  A check takes its rng and its corpus sizes as
+arguments.  The defaults are the small sizes ``kholo selftest`` runs; the
+acceptance suite (``tests/test_acceptance.py``) calls the same functions at
+its pinned seeds and larger sizes.  ``CHECKS`` lists them in the command's
+order, and :func:`run` prints one line each.  The random generators below
+are also the test suite's (``tests/support.py`` re-exports them).
 """
 
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
-from kholo.branches import covering_check, discriminant, locus_membership
+from kholo.branches import covering_check, discriminant, distinct_root_count_exact, locus_membership
 from kholo.cartan import reconstruct_from_real_part, restrict_g_identity, verify_g_holomorphic
 from kholo.eliminate import AnnihilatorPair, eliminate_annihilator, verify_annihilator
-from kholo.errors import KholoError
-from kholo.exprio import parse_poly, print_poly
+from kholo.errors import Disconnected, KholoError
+from kholo.exprio import format_gaussian, parse_poly, print_poly
 from kholo.polynomials import SparsePoly, VarSpace, rename_space, split_real_imag
 from kholo.rationals import GaussianRational
 from kholo.simplicial import SimplicialComplex, Subcomplex, route_path, verify_avoidance
@@ -49,135 +54,188 @@ def random_poly(space, rng, max_degree=4, max_terms=6, bound=10, real=False,
     return p
 
 
-def _check_field_axioms(rng, trials=200):
-    for _ in range(trials):
-        a = random_gq(rng)
-        b = random_gq(rng)
-        c = random_gq(rng)
-        if (a + b) + c != a + (b + c):
-            return False
-        if a * (b + c) != a * b + a * c:
-            return False
-        if a and a * (1 / a) != GaussianRational(1):
-            return False
-        if (a * b).conjugate() != a.conjugate() * b.conjugate():
-            return False
-    return True
+def grid_complex(rows, cols, diagonals=None):
+    """Unit-square grid, each cell split into two triangles.
 
-def _check_round_trip(rng, trials=20):
+    ``diagonals`` maps cell index (row-major) to 0 (main diagonal) or 1
+    (anti-diagonal); defaults to all main.
+    """
+    vertices = [(c, r) for r in range(rows + 1) for c in range(cols + 1)]
+
+    def v(r, c):
+        return r * (cols + 1) + c
+
+    top = []
+    for r in range(rows):
+        for c in range(cols):
+            a, b = v(r, c), v(r, c + 1)
+            d, e = v(r + 1, c + 1), v(r + 1, c)
+            if diagonals is None or diagonals[r * cols + c] == 0:
+                top += [(a, b, d), (a, d, e)]
+            else:
+                top += [(a, b, e), (b, d, e)]
+    return SimplicialComplex(dim=2, vertices=vertices, top=top)
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """``count`` random polynomials, each in ``kind(n)`` with n drawn from
+    ``dims``; a kind is drawn from ``kinds`` only when there are several."""
+
+    count: int
+    dims: tuple = (1, 2)
+    kinds: tuple = (VarSpace.z,)
+    max_degree: int = 4
+    max_terms: int = 6
+    bound: int = 10
+    zero_constant: bool = False
+    allow_zero: bool = False
+
+    def draw(self, rng):
+        for _ in range(self.count):
+            n = rng.choice(self.dims)
+            kind = rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
+            yield random_poly(kind(n), rng, self.max_degree, self.max_terms, self.bound,
+                              zero_constant=self.zero_constant, allow_zero=self.allow_zero)
+
+
+def check_field_axioms(rng, trials=200):
     for _ in range(trials):
-        n = rng.choice([1, 2])
-        f = random_poly(VarSpace.z(n), rng, zero_constant=True)
+        a, b, c = random_gq(rng), random_gq(rng), random_gq(rng)
+        if ((a + b) + c != a + (b + c) or a * (b + c) != a * b + a * c
+                or (a and a * (1 / a) != GaussianRational(1))
+                or (a * b).conjugate() != a.conjugate() * b.conjugate()):
+            return "an axiom fails at " + ", ".join(map(format_gaussian, (a, b, c)))
+    return None
+
+
+def check_round_trip(rng, corpus=Corpus(20, zero_constant=True)):
+    """Re f reconstructs f; the corpus must have zero constant terms."""
+    for f in corpus.draw(rng):
         report = reconstruct_from_real_part(split_real_imag(f)[0])
         if not report.reconstructed or report.candidate != f:
-            return False
-    return True
+            return f"the real part of {print_poly(f)} does not reconstruct it"
+    return None
 
 
-def _check_g(rng, trials=10):
-    for _ in range(trials):
-        n = rng.choice([1, 2])
-        f = random_poly(VarSpace.z(n), rng, max_degree=3)
-        ok, _ = verify_g_holomorphic(f)
-        if not ok or not restrict_g_identity(f).ok:
-            return False
-    return True
+def check_g(rng, corpus=Corpus(10, max_degree=3)):
+    for f in corpus.draw(rng):
+        ok, witnesses = verify_g_holomorphic(f)
+        if not ok or witnesses or not restrict_g_identity(f).ok:
+            return f"the g identities fail for {print_poly(f)}"
+    return None
 
 
-def _check_elimination(rng, trials=10):
-    for _ in range(trials):
-        n = rng.choice([1, 2])
-        f = random_poly(VarSpace.z(n), rng, max_degree=3, max_terms=4)
+def check_elimination(rng, corpus=Corpus(10, max_degree=3, max_terms=4)):
+    """The annihilator eliminated from t - Re f and t - Im f annihilates f."""
+    for f in corpus.draw(rng):
         f1, f2 = split_real_imag(f)
-        space = VarSpace.xyt(n)
+        space = VarSpace.xyt(f.space.n)
         lift = {name: name for name in f1.space.names}
         t = SparsePoly.variable(space, "t")
-        pair = AnnihilatorPair(
-            p1=t - rename_space(f1, space, lift),
-            p2=t - rename_space(f2, space, lift),
-            n=n,
-        )
+        pair = AnnihilatorPair(p1=t - rename_space(f1, space, lift),
+                               p2=t - rename_space(f2, space, lift), n=f.space.n)
         report = eliminate_annihilator(pair)
         if report.degenerate or not verify_annihilator(report.annihilator, f):
-            return False
-    return True
+            return f"no annihilator of {print_poly(f)} was eliminated"
+    return None
 
 
-def _check_discriminants():
-    zt = VarSpace.zt(1)
-    cases = [
-        ("t^2 - z1", "4*z1"),
-        ("t^2 + 2*t - z1", "4*z1 + 4"),
-        ("t^3 - z1", "-27*z1^2"),
-    ]
-    for text, expected in cases:
-        got = discriminant(parse_poly(text, zt), "t")
+_DISCRIMINANTS = (("t^2 - z1", "4*z1"), ("t^2 + 2*t - z1", "4*z1 + 4"), ("t^3 - z1", "-27*z1^2"))
+
+
+def check_discriminants(rng):
+    """Three golden discriminants; draws nothing from ``rng``."""
+    for text, expected in _DISCRIMINANTS:
+        got = discriminant(parse_poly(text, VarSpace.zt(1)), "t")
         if got != parse_poly(expected, VarSpace.z(1)):
-            return False
-    return True
+            return f"disc({text}) = {print_poly(got)}, expected {expected}"
+    return None
 
 
-def _check_fibers(rng, samples=5):
-    zt = VarSpace.zt(1)
-    p = parse_poly("t^2 - z1", zt)
-    disc = discriminant(p, "t")
-    points = []
-    while len(points) < samples:
-        z0 = random_gq(rng, bound=9)
-        if not locus_membership(disc, (z0,)):
-            points.append((z0,))
-    report = covering_check(p, points)
-    return report.covering_degree == 2
+def check_fibers(rng, family=((1, "t^2 - z1"),), samples=5, bound=9):
+    """Each (n, P) of ``family`` has deg_t P distinct roots over every sample
+    point off its discriminant locus, by covering_check and by an exact gcd."""
+    for n, text in family:
+        p = parse_poly(text, VarSpace.zt(n))
+        degree = p.degree_in("t")
+        locus = discriminant(p, "t")
+        points = []
+        while len(points) < samples:
+            z0 = tuple(random_gq(rng, bound) for _ in range(n))
+            if not locus_membership(locus, z0):
+                points.append(z0)
+        report = covering_check(p, points)
+        for sample in report.samples:
+            counts = {report.covering_degree, sample.fiber_count,
+                      distinct_root_count_exact(p, sample.point)}
+            if counts != {degree}:
+                return f"{text} has fiber counts {sorted(counts)}, expected {degree}"
+    return None
 
 
-def _check_router():
-    square = SimplicialComplex(
-        dim=2,
-        vertices=[(0, 0), (1, 0), (1, 1), (0, 1)],
-        top=[(0, 1, 2), (0, 2, 3)],
-    )
-    sub = Subcomplex(square, [(1,), (3,)], start=0, end=2)
-    path = route_path(square, sub)
-    ok, _ = verify_avoidance(path, square, sub)
-    return ok
+def check_router(rng, grids=1, max_side=1):
+    """Routes on random grids avoid their marked vertices; two separate
+    triangles are reported disconnected."""
+    for _ in range(grids):
+        rows, cols = rng.randint(1, max_side), rng.randint(1, max_side)
+        complex_ = grid_complex(rows, cols, [rng.randint(0, 1) for _ in range(rows * cols)])
+        nverts = len(complex_.vertices)
+        start, end = rng.randrange(nverts), rng.randrange(nverts)
+        marked = [(v,) for v in range(nverts) if rng.random() < 0.35]
+        sub = Subcomplex(complex_, marked, start=start, end=end)
+        ok, witness = verify_avoidance(route_path(complex_, sub), complex_, sub)
+        if not ok:
+            return f"the route from {start} to {end} in a {rows}x{cols} grid fails: {witness}"
+    split = SimplicialComplex(dim=2, vertices=[(0, 0), (1, 0), (0, 1), (9, 9), (10, 9), (9, 10)],
+                              top=[(0, 1, 2), (3, 4, 5)])
+    try:
+        route_path(split, Subcomplex(split, [], start=0, end=3))
+    except Disconnected:
+        return None
+    return "a route joined two separate triangles"
 
 
-def _check_parser(rng, trials=50, fuzz=200):
-    for _ in range(trials):
-        n = rng.choice([1, 2])
-        p = random_poly(VarSpace.xy(n), rng)
-        if parse_poly(print_poly(p), p.space) != p:
-            return False
-    alphabet = "xyzwt0123456789+-*/^() i."
+_FUZZ_ALPHABET = "xyzwti0123456789+-*/^()., ;@#$%&[]{}\\\"'`~=<>?!éβ\n\t"
+
+
+def check_parser(rng, corpus=Corpus(50, kinds=(VarSpace.xy,)), fuzz=200, fuzz_length=30):
+    """Printed polynomials parse back to themselves.  Random strings of up
+    to ``fuzz_length`` characters must raise nothing but a KholoError; any
+    other exception propagates, with its traceback, as the failure."""
+    for p in corpus.draw(rng):
+        back = parse_poly(print_poly(p), p.space)
+        if back != p:
+            return f"{print_poly(p)} reads back as {print_poly(back)}"
+    space = VarSpace.xy(2)
     for _ in range(fuzz):
-        text = "".join(rng.choice(alphabet)
-                       for _ in range(rng.randint(1, 30)))
+        text = "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randint(1, fuzz_length)))
         try:
-            parse_poly(text, VarSpace.xy(1))
+            parse_poly(text, space)
         except KholoError:
             pass
-    return True
+    return None
+
+
+CHECKS = (
+    ("field axioms", check_field_axioms),
+    ("cartan round trip", check_round_trip),
+    ("g restriction and holomorphy", check_g),
+    ("annihilator elimination", check_elimination),
+    ("discriminant goldens", check_discriminants),
+    ("fiber constancy", check_fibers),
+    ("barycentric router", check_router),
+    ("parser round trip and fuzz", check_parser),
+)
 
 
 def run(seed=0, stream=None):
-    """Run every check; print one line each; return a process exit code."""
-    import sys
+    """Run every check on one rng; print one line each; return a process exit code."""
     stream = stream or sys.stdout
     rng = random.Random(seed)
-    checks = [
-        ("field axioms", lambda: _check_field_axioms(rng)),
-        ("cartan round trip", lambda: _check_round_trip(rng)),
-        ("g restriction and holomorphy", lambda: _check_g(rng)),
-        ("annihilator elimination", lambda: _check_elimination(rng)),
-        ("discriminant goldens", _check_discriminants),
-        ("fiber constancy", lambda: _check_fibers(rng)),
-        ("barycentric router", _check_router),
-        ("parser round trip and fuzz", lambda: _check_parser(rng)),
-    ]
-    failures = 0
-    for name, check in checks:
-        ok = check()
-        stream.write(f"selftest {name}: {'ok' if ok else 'FAIL'}\n")
-        if not ok:
-            failures += 1
-    return 0 if failures == 0 else 1
+    failed = False
+    for name, check in CHECKS:
+        failure = check(rng)
+        stream.write(f"selftest {name}: {'ok' if failure is None else 'FAIL: ' + failure}\n")
+        failed = failed or failure is not None
+    return 1 if failed else 0

@@ -452,7 +452,9 @@ class Subcomplex:
         self.complex = complex_
         nverts = len(complex_.vertices)
         for label, idx in (("start", start), ("end", end)):
-            if not isinstance(idx, int) or not 0 <= idx < nverts:
+            if isinstance(idx, bool) or not isinstance(idx, int):
+                raise InvalidEndpoints(f"{label} vertex {idx!r} is not a vertex index")
+            if not 0 <= idx < nverts:
                 raise InvalidEndpoints(f"{label} vertex {idx!r} out of range")
         self.start = start
         self.end = end
@@ -460,6 +462,9 @@ class Subcomplex:
         for face in faces:
             if not face:
                 raise InvalidSubcomplex("empty face marked")
+            for a, b in zip(face, face[1:]):
+                if a == b:
+                    raise InvalidSubcomplex(f"repeated vertex {a} in marked face {face}")
             if not complex_.is_face(face):
                 raise InvalidSubcomplex(f"{face} is not a face of the complex")
         # checked before closing: every subface of an accepted face is then
@@ -485,7 +490,8 @@ class PLPath:
     tags: tuple[str, ...]
 
     def __post_init__(self):
-        assert len(self.waypoints) == len(self.tags)
+        if len(self.waypoints) != len(self.tags):
+            raise InvalidPath(f"{len(self.waypoints)} waypoints but {len(self.tags)} tags")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
                 raise InvalidPath("consecutive waypoints coincide")

@@ -9,8 +9,9 @@ calculus oracles substitute by whole-polynomial products and differentiate by
 composing partials, and build g and the pluriharmonic check the long way;
 the printer oracle reads each coefficient through its Fraction parts; the
 evaluation oracle sums reduced GaussianRational products.
-The corpus generators are the ones ``kholo selftest`` draws from, re-exported
-here.
+The corpus generators (``random_fraction``, ``random_gq``, ``random_poly``)
+and ``grid_complex`` live in ``kholo.selftest``, whose checks the acceptance
+suite shares; they are re-exported here.
 """
 
 import random
@@ -43,8 +44,7 @@ from kholo.rationals import (
     terms_scale,
     terms_sub,
 )
-from kholo.selftest import random_fraction, random_gq, random_poly  # noqa: F401
-from kholo.simplicial import SimplicialComplex
+from kholo.selftest import grid_complex, random_fraction, random_gq, random_poly  # noqa: F401
 
 
 def assert_canonical_gq(c):
@@ -381,34 +381,7 @@ def evaluate_complex(p, point):
     return total
 
 
-# -- simplicial helpers ------------------------------------------------------------
-
-def grid_complex(rows, cols, diagonals=None):
-    """Unit-square grid, each cell split into two triangles.
-
-    ``diagonals`` maps cell index (row-major) to 0 (main diagonal) or 1
-    (anti-diagonal); defaults to all main.
-    """
-    vertices = [(c, r) for r in range(rows + 1) for c in range(cols + 1)]
-
-    def v(r, c):
-        return r * (cols + 1) + c
-
-    top = []
-    for r in range(rows):
-        for c in range(cols):
-            cell = r * cols + c
-            kind = 0 if diagonals is None else diagonals[cell]
-            a, b = v(r, c), v(r, c + 1)
-            d, e = v(r + 1, c + 1), v(r + 1, c)
-            if kind == 0:
-                top.append((a, b, d))
-                top.append((a, d, e))
-            else:
-                top.append((a, b, e))
-                top.append((b, d, e))
-    return SimplicialComplex(dim=2, vertices=vertices, top=top)
-
+# -- simplicial oracle -------------------------------------------------------------
 
 def shared_facet_pairs(complex_):
     """Oracle: brute-force pair enumeration counting shared (n-1)-faces."""

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from kholo import reports
+from kholo import reports, selftest
 from kholo.cli import MAX_DIMENSION, main
 from kholo.simplicial import Subcomplex
 from support import grid_complex
@@ -180,10 +180,26 @@ def test_expression_from_file(tmp_path, capsys):
     assert out.strip() == "z1^2"
 
 
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest", "--seed", "3")
+CHECK_NAMES = ["field axioms", "cartan round trip", "g restriction and holomorphy",
+               "annihilator elimination", "discriminant goldens", "fiber constancy",
+               "barycentric router", "parser round trip and fuzz"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_selftest(capsys, seed):
+    code, out, _ = run(capsys, "selftest", "--seed", str(seed))
     assert code == 0
-    assert out.count("ok") == 8
+    assert out.splitlines() == [f"selftest {name}: ok" for name in CHECK_NAMES]
+
+
+def test_selftest_reports_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "verify_g_holomorphic", lambda f: (False, []))
+    code, out, _ = run(capsys, "selftest", "--seed", "0")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"selftest {name}" for name in CHECK_NAMES]
+    assert lines[2].startswith("selftest g restriction and holomorphy: FAIL: the g identities fail for ")
+    assert [line for line in lines if not line.endswith(": ok")] == [lines[2]]
 
 
 @pytest.mark.parametrize("payload", [
@@ -195,7 +211,20 @@ def test_selftest(capsys):
      "top": [[0, 1, 2]], "marked": [], "endpoints": [0]},
     {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
      "top": [[0, 1, "2"]], "marked": [], "endpoints": [0, 1]},
-], ids=["no-vertices", "top-level-list", "bad-coordinate", "one-endpoint", "index-not-integer"])
+    # JSON true and false are not integers, though Python's bool is an int
+    {"ambient_dim": True, "vertices": [["0"], ["1"]],
+     "top": [[0, 1]], "marked": [], "endpoints": [0, 1]},
+    {"ambient_dim": 1, "vertices": [["0"], ["1"]],
+     "top": [[False, True]], "marked": [], "endpoints": [0, 1]},
+    {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "top": [[0, 1, 2]], "marked": [[True]], "endpoints": [0, 2]},
+    {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+     "top": [[0, 1, 2]], "marked": [], "endpoints": [False, True]},
+    {"ambient_dim": 2, "vertices": [["0", "0"], [True, "0"], ["0", "1"]],
+     "top": [[0, 1, 2]], "marked": [], "endpoints": [0, 1]},
+], ids=["no-vertices", "top-level-list", "bad-coordinate", "one-endpoint", "index-not-integer",
+        "boolean-dimension", "boolean-top", "boolean-marked", "boolean-endpoints",
+        "boolean-coordinate"])
 def test_route_malformed_document_is_input_error(tmp_path, capsys, payload):
     doc_path = tmp_path / "malformed.json"
     doc_path.write_text(json.dumps(payload))

@@ -194,6 +194,14 @@ CASES = [
     ("route-malformed-endpoints", ["route", "-"],
      json.dumps({"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
                  "top": [[0, 1, 2]], "marked": [], "endpoints": [0]})),
+    ("route-boolean-dimension", ["route", "-"],
+     json.dumps({"ambient_dim": True, "vertices": [["0"], ["1"]], "top": [[0, 1]],
+                 "marked": [], "endpoints": [0, 1]})),
+    ("route-boolean-endpoints", ["route", "-"],
+     json.dumps({"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+                 "top": [[0, 1, 2]], "marked": [], "endpoints": [False, True]})),
+    ("route-marked-repeated-vertex", ["route", "-"],
+     _doc(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2, 3]], [[0, 0]], [0, 2])),
     # selftest
     ("selftest-seed-3", ["selftest", "--seed", "3"], None),
     # argparse: help and usage errors

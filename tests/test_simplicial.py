@@ -141,6 +141,17 @@ def test_marked_face_too_large_is_named_as_marked():
         Subcomplex(simplex, [tuple(range(n + 1))], start=0, end=1)
 
 
+def test_marked_face_with_a_repeated_vertex_is_rejected():
+    tetra = SimplicialComplex(dim=3, vertices=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                              top=[(0, 1, 2, 3)])
+    with pytest.raises(InvalidSubcomplex, match=r"^repeated vertex 0 in marked face \(0, 0\)$"):
+        Subcomplex(tetra, [(0, 0)], start=0, end=2)
+    # named for the repeated vertex, not for its dimension
+    with pytest.raises(InvalidSubcomplex, match=r"^repeated vertex 0 in marked face \(0, 0, 1, 2\)$"):
+        Subcomplex(square(), [(0, 1, 2, 0)], start=0, end=2)
+    assert Subcomplex(tetra, [(0,)], start=0, end=2).marked == ((0,),)
+
+
 def test_marked_faces_closed_under_subfaces():
     c = grid_complex(1, 1)
     sub = Subcomplex(c, [(1,), (3,)], start=0, end=2)
@@ -150,6 +161,8 @@ def test_marked_faces_closed_under_subfaces():
 def test_endpoint_out_of_range():
     with pytest.raises(InvalidEndpoints):
         Subcomplex(square(), [], start=0, end=9)
+    with pytest.raises(InvalidEndpoints, match="^end vertex True is not a vertex index$"):
+        Subcomplex(square(), [], start=0, end=True)
 
 
 # -- routing --------------------------------------------------------------------
@@ -242,6 +255,12 @@ def test_marked_endpoint_is_exempt_at_its_end_only():
     sub_loop = Subcomplex(c, [(0,)], start=0, end=0)
     ok, witness = verify_avoidance(detour, c, sub_loop)
     assert ok  # endpoints exempt at both ends
+
+
+def test_path_needs_one_tag_per_waypoint():
+    with pytest.raises(InvalidPath, match="^2 waypoints but 1 tags$"):
+        PLPath(waypoints=((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),
+               tags=("endpoint",))
 
 
 def test_waypoint_outside_complex_rejected():
