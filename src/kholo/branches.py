@@ -163,9 +163,14 @@ def _specialize(p, z0, name):
     point = _as_point(base, z0)
     exact = [c.eval(point) if not c.is_zero() else GQ_ZERO for c in coeffs]
     if not exact or not exact[-1]:
-        raise LeadingCoefficientVanishes(
-            f"leading {name}-coefficient dies at {_spell_point(base, point)}")
+        raise _lead_dies(name, base, point)
     return exact
+
+
+def _lead_dies(name, base, point):
+    """The error for a point where the leading coefficient in ``name`` vanishes."""
+    return LeadingCoefficientVanishes(
+        f"leading {name}-coefficient dies at {_spell_point(base, point)}")
 
 
 def distinct_root_count_exact(p, z0, name="t"):
@@ -230,14 +235,16 @@ def covering_check(p, path, name="t"):
     """
     disc = discriminant(p, name)
     base = p.space.drop(name)
-    degree = p.degree_in(name)
+    coeffs = univariate_coefficients(p, name)  # split once: a sample evaluates the lead only
+    lead, degree = coeffs[-1], len(coeffs) - 1
     samples = []
     for z0 in path:
         point = _as_point(base, z0)
         if locus_membership(disc, point):
             raise PointOnLocus(
                 f"sample {_spell_point(base, point)} lies on the discriminant locus")
-        _specialize(p, point, name)  # raises LeadingCoefficientVanishes
+        if not lead.eval(point):
+            raise _lead_dies(name, base, point)
         key = tuple(point[nm] for nm in base.names)
         samples.append(FiberSample(point=key, on_locus=False, fiber_count=degree))
     if not samples:

@@ -150,7 +150,7 @@ def _cmd_route(args):
     text = _read_text_arg(args.document)
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too long integer, deep nesting
         print(f"error: invalid document: {exc}", file=sys.stderr)
         return EXIT_INPUT
     complex_, sub = reports.complex_from_doc(payload)

@@ -42,7 +42,7 @@ from kholo.polynomials import (
     substitute_variable,
     univariate_coefficients,
 )
-from kholo.rationals import GQ_MINUS_I, GaussianRational
+from kholo.rationals import GQ_MINUS_I, GaussianRational, _binary_power
 
 
 @dataclass
@@ -238,14 +238,7 @@ class _Work:
 
     def power(self, p, e):
         """p**e by binary powering, each product charged."""
-        result = None
-        while True:
-            if e & 1:
-                result = p if result is None else self.mul(result, p)
-            e >>= 1
-            if not e:
-                return SparsePoly.constant(p.space, 1) if result is None else result
-            p = self.mul(p, p)
+        return _binary_power(p, e, self.mul) if e else SparsePoly.constant(p.space, 1)
 
     def divide(self, p, d):
         """The exact quotient p / d, charged |q|*|d|."""

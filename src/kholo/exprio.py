@@ -30,10 +30,12 @@ interpreter's ``int``/``str`` digit limit (``sys.get_int_max_str_digits()``,
 checked on literals, bounded before a power is taken and checked on the
 result).  Both refusals raise ExpansionTooLarge, an input error.
 
-The tokenizer records each token's column as its offset from the start of
-its line plus one, and the parser's hot peeks read a parallel list of token
-kinds.  Rational literals are built straight in the canonical
-``(x, y, d)`` form.
+The tokenizer yields three parallel lists: the kinds the parser peeks at,
+the token texts and each token's start offset in the text.  Only an error
+turns an offset into its line (one plus the line feeds before it) and
+column (the offset from the last line feed, so a tab, a carriage return or
+a non-ASCII space counts one column).  Rational literals are built straight
+in the canonical ``(x, y, d)`` form.
 
 The printer emits the canonical form (graded-lex descending terms,
 coefficients as ``a``, ``a/b`` or ``(a+b*i)``); parsing its output always
@@ -55,7 +57,7 @@ from kholo.errors import (
     UnknownVariable,
 )
 from kholo.polynomials import MAX_EXPANSION_TERMS, MAX_TOTAL_DEGREE, SparsePoly, VarSpace
-from kholo.rationals import GQ_I, GQ_ONE, _exact, _lowest, terms_mul
+from kholo.rationals import GQ_I, GQ_ONE, _binary_power, _exact, _lowest, terms_mul
 
 _MAX_DEPTH = 200
 
@@ -65,52 +67,47 @@ _MAX_DEPTH = 200
 _SYMBOLS = set("+-*^/()")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind  # 'int' | 'ident' | symbol | 'end'
-        self.text = text
-        self.line = line
-        self.column = column
+def _line_column(text, offset):
+    """(line, column) of a character offset: only a line feed starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text):
-    """The tokens of the text; each column is ``pos - line_start + 1``."""
-    tokens = []
-    line, line_start = 1, 0
+    """The tokens of the text as three parallel lists: kinds, texts, start offsets.
+
+    A kind is 'int', 'ident', a symbol or 'end'; the one 'end' token is empty
+    and starts at ``len(text)``.
+    """
+    kinds, texts, starts = [], [], []
     pos = 0
     length = len(text)
     while pos < length:
         ch = text[pos]
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
         if ch.isspace():
             pos += 1
             continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, pos - line_start + 1))
-            pos += 1
-            continue
         start = pos
-        if ch.isdecimal():
-            pos += 1
+        pos += 1
+        if ch in _SYMBOLS:
+            kinds.append(ch)
+            texts.append(ch)
+        elif ch.isdecimal():
             while pos < length and text[pos].isdecimal():
                 pos += 1
-            tokens.append(_Token("int", text[start:pos], line, start - line_start + 1))
-            continue
-        if ch.isalpha():
-            pos += 1
+            kinds.append("int")
+            texts.append(text[start:pos])
+        elif ch.isalpha():
             while pos < length and (text[pos].isalpha() or text[pos].isdecimal()):
                 pos += 1
-            tokens.append(_Token("ident", text[start:pos], line, start - line_start + 1))
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, pos - line_start + 1)
-    tokens.append(_Token("end", "", line, pos - line_start + 1))
-    return tokens
+            kinds.append("ident")
+            texts.append(text[start:pos])
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", *_line_column(text, start))
+        starts.append(start)
+    kinds.append("end")
+    texts.append("")
+    starts.append(length)
+    return kinds, texts, starts
 
 
 # -- checks -------------------------------------------------------------------
@@ -128,15 +125,6 @@ def _digit_limit():
     """Decimal digits int() and str() convert; 0 means no limit."""
     get = getattr(sys, "get_int_max_str_digits", None)  # Python 3.10.7 and later
     return get() if get else 0
-
-
-def _integer(tok, limit):
-    """The value of an 'int' token, refused beyond the digit limit (0: none)."""
-    if limit and len(tok.text) > limit:
-        raise ExpansionTooLarge(
-            f"integer of {len(tok.text)} digits at line {tok.line}, column {tok.column} "
-            f"is over the limit of {limit} digits")
-    return int(tok.text)
 
 
 def _degree(value):
@@ -206,8 +194,8 @@ def _check_digits(terms, limit):
 
 class _Parser:
     def __init__(self, text, space):
-        self.tokens = _tokenize(text)
-        self.kinds = [tok.kind for tok in self.tokens]  # the hot peeks read these
+        self.text = text
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.space = space
@@ -215,24 +203,34 @@ class _Parser:
         self.units = {}
         self.limit = _digit_limit()
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def where(self, k):
+        """(line, column) of token k, worked out only for an error."""
+        return _line_column(self.text, self.starts[k])
 
     def expect(self, kind):
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        """The index of the next token, which must be of this kind."""
+        k = self.pos
+        if self.kinds[k] != kind:
             raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
-        self.pos += 1
-        return tok
+                f"expected {kind!r}, found {self.texts[k] or 'end of input'!r}", *self.where(k))
+        self.pos = k + 1
+        return k
+
+    def integer(self):
+        """The value of the next token, an 'int' refused beyond the digit limit (0: none)."""
+        k = self.expect("int")
+        digits = self.texts[k]
+        if self.limit and len(digits) > self.limit:
+            line, column = self.where(k)
+            raise ExpansionTooLarge(
+                f"integer of {len(digits)} digits at line {line}, column {column} "
+                f"is over the limit of {self.limit} digits")
+        return int(digits)
 
     def _enter(self):
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ExprSyntaxError("expression nested too deeply",
-                                  tok.line, tok.column)
+            raise ExprSyntaxError("expression nested too deeply", *self.where(self.pos))
 
     def unit(self, name):
         exps = self.units.get(name)
@@ -243,10 +241,9 @@ class _Parser:
 
     def parse(self):
         terms = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing {tok.text!r}",
-                                  tok.line, tok.column)
+        k = self.pos
+        if self.kinds[k] != "end":
+            raise ExprSyntaxError(f"unexpected trailing {self.texts[k]!r}", *self.where(k))
         return terms
 
     def expr(self):
@@ -327,15 +324,13 @@ class _Parser:
         return base
 
     def exponent(self):
-        tok = self.peek()
-        wrapped = tok.kind == "("
+        wrapped = self.kinds[self.pos] == "("
         if wrapped:
             self.pos += 1
-            tok = self.tokens[self.pos]
-        if tok.kind == "-":
+        if self.kinds[self.pos] == "-":
             raise NegativeExponent("exponent must be a non-negative integer",
-                                   tok.line, tok.column)
-        value = _integer(self.expect("int"), self.limit)
+                                   *self.where(self.pos))
+        value = self.integer()
         if wrapped:
             self.expect(")")
         return value
@@ -360,14 +355,7 @@ class _Parser:
         _check_power_digits(base.values(), e, self.limit)
         # binary powering, each product checked against the term budget
         what = f"power {e} of a sum of {len(base)} terms"
-        result = None
-        while True:
-            if e & 1:
-                result = base if result is None else _multiply(result, base, what)
-            e >>= 1
-            if not e:
-                return result
-            base = _multiply(base, base, what)
+        return _binary_power(base, e, lambda a, b: _multiply(a, b, what))
 
     def atom(self):
         self._enter()
@@ -387,30 +375,26 @@ class _Parser:
             c = self.rational()
             value = (self.constant, c) if c else {}
         elif kind == "ident":
-            tok = self.tokens[self.pos]
+            name = self.texts[self.pos]
             self.pos += 1
-            if tok.text == "i":
+            if name == "i":
                 value = (self.constant, GQ_I)
             else:
-                value = (self.unit(tok.text), GQ_ONE)
+                value = (self.unit(name), GQ_ONE)
         else:
-            tok = self.tokens[self.pos]
             raise ExprSyntaxError(
-                f"unexpected {tok.text or 'end of input'!r}",
-                tok.line, tok.column)
+                f"unexpected {self.texts[self.pos] or 'end of input'!r}", *self.where(self.pos))
         self.depth -= 1
         return value
 
     def rational(self):
-        numerator = _integer(self.expect("int"), self.limit)
+        numerator = self.integer()
         if self.kinds[self.pos] == "/":
             self.pos += 1
-            den_tok = self.expect("int")
-            denominator = _integer(den_tok, self.limit)
+            denominator = self.integer()
             if denominator == 0:
-                raise DivisionByZero(
-                    f"zero denominator at line {den_tok.line}, "
-                    f"column {den_tok.column}")
+                line, column = self.where(self.pos - 1)
+                raise DivisionByZero(f"zero denominator at line {line}, column {column}")
             return _lowest(numerator, 0, denominator)
         return _exact(numerator, 0, 1)
 

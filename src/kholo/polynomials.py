@@ -16,7 +16,7 @@ import re as _re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from kholo.errors import (
     DegreeOverflow,
@@ -35,6 +35,7 @@ from kholo.rationals import (
     GaussianRational,
     _accumulate,
     _add_over_lcm,
+    _binary_power,
     _lowest,
     _reduced,
     as_gaussian,
@@ -161,9 +162,6 @@ class VarSpace:
         """The same space without one variable."""
         k = self.index(name)
         return VarSpace(self.names[:k] + self.names[k + 1:], self.n)
-
-    def kinds(self):
-        return [kind for kind, _ in self._kinds]
 
     def is_z_only(self):
         return all(kind == "z" for kind, _ in self._kinds)
@@ -356,17 +354,11 @@ class SparsePoly:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent and self.total_degree() * exponent > MAX_TOTAL_DEGREE:
+        if not exponent:
+            return SparsePoly.constant(self.space, 1)
+        if self.total_degree() * exponent > MAX_TOTAL_DEGREE:
             raise DegreeOverflow("power degree exceeds the supported bound")
-        result = SparsePoly.constant(self.space, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _binary_power(self, exponent, mul)
 
     def _coerce(self, other):
         if isinstance(other, SparsePoly):
@@ -413,7 +405,8 @@ class SparsePoly:
                 if e:
                     cached = powers.get((k, e))
                     if cached is None:
-                        cached = powers[k, e] = _power_triple(values[k], e)
+                        v = values[k]
+                        cached = powers[k, e] = _binary_power((v.x, v.y, v.d), e, _triple_mul)
                     px, py, pd = cached
                     x, y, d = x * px - y * py, x * py + y * px, d * pd
             if total[2] == d:
@@ -424,18 +417,10 @@ class SparsePoly:
         return _lowest(*total)
 
 
-def _power_triple(c, e):
-    """c**e for e >= 1 as an unreduced triple (x, y, d), by binary powering."""
-    d = c.d ** e
-    x, y = 1, 0
-    bx, by = c.x, c.y
-    while True:
-        if e & 1:
-            x, y = x * bx - y * by, x * by + y * bx
-        e >>= 1
-        if not e:
-            return x, y, d
-        bx, by = bx * bx - by * by, 2 * bx * by
+def _triple_mul(a, b):
+    """The product of two unreduced triples (x, y, d), unreduced."""
+    (x1, y1, d1), (x2, y2, d2) = a, b
+    return x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2
 
 
 class LinearSubst:
@@ -601,28 +586,17 @@ def real_imag_coefficient_parts(p):
     return SparsePoly(p.space, re_terms), SparsePoly(p.space, im_terms)
 
 
-def complexify_substitution(source, target, pairing):
-    """LinearSubst sending the k-th complex variable to x_k + i*y_k.
-
-    ``pairing`` lists (complex_name, x_name, y_name) triples.
-    """
-    images = {}
-    for cname, xname, yname in pairing:
-        images[cname] = (SparsePoly.variable(target, xname)
-                         + SparsePoly.variable(target, yname, GQ_I))
-    return LinearSubst(source, target, images)
-
-
 def to_real_coordinates(p):
     """Expand a polynomial in complex coordinates into paired real ones.
 
     The k-th variable of ``p`` (in space order) becomes x_k + i*y_k; the
     result lives in the x/y space with one pair per complex variable.
     """
-    m = len(p.space.names)
-    target = VarSpace.xy(m)
-    pairing = [(name, f"x{k + 1}", f"y{k + 1}") for k, name in enumerate(p.space.names)]
-    return complexify_substitution(p.space, target, pairing).apply(p)
+    target = VarSpace.xy(len(p.space.names))
+    images = {name: SparsePoly.variable(target, f"x{k}")
+              + SparsePoly.variable(target, f"y{k}", GQ_I)
+              for k, name in enumerate(p.space.names, 1)}
+    return LinearSubst(p.space, target, images).apply(p)
 
 
 def split_real_imag(p):

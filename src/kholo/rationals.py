@@ -9,11 +9,15 @@ the polynomial ring arithmetic of :mod:`kholo.polynomials`.
 A Gaussian rational is stored over one denominator as three integers
 (x, y, d) meaning (x + y*i)/d, with d > 0 and gcd(x, y, d) == 1.  That form
 is canonical, so equality and hashing compare the integers directly.
+
+``_binary_power`` is the toolkit's one square-and-multiply loop.  Scalar,
+integer-triple and polynomial powers, the parser's powers of sums and the
+resultant's charged powers all call it with their own product function.
 """
 
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from kholo.errors import DivisionByZero
 
@@ -157,15 +161,29 @@ class GaussianRational:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = _exact(1, 0, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _binary_power(self, exponent, mul) if exponent else _exact(1, 0, 1)
+
+
+def _binary_power(base, e, mul):
+    """base**e for e >= 1 by square-and-multiply, bottom-up over the bits of e.
+
+    The lowest set bit starts the result at the power of base reached there;
+    after that ``mul(base, base)`` squares while a higher bit is left and
+    each set bit multiplies in by ``mul(result, base)``, so 2**k costs k
+    squarings and nothing else.  Each caller passes its own ``mul``, so a
+    product it charges, checks or counts is seen at every step.
+    """
+    while not e & 1:
+        base = mul(base, base)
+        e >>= 1
+    result = base
+    e >>= 1
+    while e:
+        base = mul(base, base)
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+    return result
 
 
 def _coerce(value):
@@ -190,11 +208,6 @@ def as_gaussian(value):
     if isinstance(value, GaussianRational):
         return value
     return GaussianRational(value)
-
-
-def gaussian(re, im=0):
-    """Build a + b*i from anything Fraction() accepts (ints, strings, ...)."""
-    return GaussianRational(Fraction(re), Fraction(im))
 
 
 # -- term-map kernels ---------------------------------------------------------
@@ -345,7 +358,6 @@ __all__ = [
     "GaussianRational",
     "Rational",
     "as_gaussian",
-    "gaussian",
     "terms_add",
     "terms_add_into",
     "terms_mul",

@@ -116,12 +116,26 @@ def _index_lists(doc, key):
 
 
 def _coordinate(value):
-    if isinstance(value, bool):
-        raise InvalidComplex(f"vertex coordinate {value!r} is not a rational number")
-    try:
+    """A JSON integer, or a string Fraction reads as an integer, n/d or a decimal.
+
+    A JSON float is refused, since it arrives already rounded to binary, and
+    so is exponent notation, since "1e10000000" would build a ten-million
+    digit integer before anything could refuse it.
+    """
+    if _is_integer(value):
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise InvalidComplex(f"vertex coordinate {value!r} is not a rational number") from None
+    if isinstance(value, float):
+        raise InvalidComplex(f"vertex coordinate {value!r} is a JSON number with a "
+                             "fraction or exponent; write it as a string such as \"1/10\"")
+    if isinstance(value, str):
+        if "e" not in value and "E" not in value:
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        elif value.lower().lstrip(" +-.0123456789").startswith("e"):
+            raise InvalidComplex(f"vertex coordinate {value!r} uses exponent notation")
+    raise InvalidComplex(f"vertex coordinate {value!r} is not a rational number")
 
 
 def complex_from_doc(doc):

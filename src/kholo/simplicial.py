@@ -398,17 +398,6 @@ class SimplicialComplex:
 
     # -- faces ---------------------------------------------------------------
 
-    def faces(self, d):
-        """All d-dimensional faces as sorted index tuples, deterministic order."""
-        out = []
-        seen = set()
-        for simplex in self.top:
-            for face in combinations(sorted(simplex), d + 1):
-                if face not in seen:
-                    seen.add(face)
-                    out.append(face)
-        return out
-
     def is_face(self, face):
         face = set(face)
         if not face:

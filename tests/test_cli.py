@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, documents, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+import kholo
 from kholo import reports, selftest
 from kholo.cli import MAX_DIMENSION, main
 from kholo.simplicial import Subcomplex
@@ -232,3 +236,26 @@ def test_route_malformed_document_is_input_error(tmp_path, capsys, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_route_deeply_nested_document_is_input_error(capsys):
+    # json's decoder refuses this depth with a RecursionError
+    code, out, err = run(capsys, "route", "[" * 100_000)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid document: maximum recursion depth exceeded")
+
+
+def test_perfbench_names_resolve():
+    """Every span perfbench wraps, and the backend name it reads, exists in kholo."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANS
+    for module_name, attr, _ in tracing.SPANS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
+    assert kholo.COEFF_BACKEND == "python"

@@ -202,6 +202,19 @@ CASES = [
                  "top": [[0, 1, 2]], "marked": [], "endpoints": [False, True]})),
     ("route-marked-repeated-vertex", ["route", "-"],
      _doc(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2, 3]], [[0, 0]], [0, 2])),
+    # coordinates refused before they are read: exponent notation (which would
+    # build the integer, or print waypoints past the digit limit), JSON floats
+    # (already rounded to binary) and integers past the digit limit
+    ("route-coordinate-exponent", ["route", "--format", "plain", "-"],
+     _doc(2, [(0, 0), ("1e5000", 0), (0, 1)], [[0, 1, 2]], [], [0, 1])),
+    ("route-coordinate-huge-exponent", ["route", "-"],
+     _doc(2, [(0, 0), ("1E10000000", 0), (0, 1)], [[0, 1, 2]], [], [0, 1])),
+    ("route-coordinate-float", ["route", "-"],
+     json.dumps({"ambient_dim": 2, "vertices": [[0, 0], [0.1, 0], [0, 1]],
+                 "top": [[0, 1, 2]], "marked": [], "endpoints": [0, 1]})),
+    ("route-coordinate-integer-too-long", ["route", "-"],
+     '{"ambient_dim": 2, "vertices": [[0, 0], [%s, 0], [0, 1]], "top": [[0, 1, 2]], '
+     '"marked": [], "endpoints": [0, 1]}' % ("1" * 5000)),
     # selftest
     ("selftest-seed-3", ["selftest", "--seed", "3"], None),
     # argparse: help and usage errors

@@ -108,6 +108,29 @@ def test_the_cited_degree_12_discriminant_charges_710820(monkeypatch):
     assert counts[-1] == 710_820
 
 
+def test_power_charges_each_product_in_bottom_up_order(monkeypatch):
+    amounts = []
+    charge = eliminate._Work._charge
+
+    def recording(work, amount):
+        charge(work, amount)
+        amounts.append(amount)
+
+    monkeypatch.setattr(eliminate._Work, "_charge", recording)
+    p = parse_poly("z1 + 2*z2 - 1/3", VarSpace.z(2))
+    # |p^k| = C(k + 2, 2): square, then multiply on each set bit after the lowest
+    expected = {1: [], 2: [9], 3: [9, 18], 4: [9, 36], 5: [9, 36, 45], 6: [9, 36, 90],
+                7: [9, 18, 36, 150], 8: [9, 36, 225], 9: [9, 36, 225, 135],
+                10: [9, 36, 225, 270], 11: [9, 18, 36, 225, 450], 12: [9, 36, 225, 675]}
+    for e, charges in expected.items():
+        amounts.clear()
+        work = eliminate._Work()
+        assert work.power(p, e) == p ** e
+        assert amounts == charges
+        assert work.count == sum(charges)
+    assert eliminate._Work().power(p, 0) == SparsePoly.constant(p.space, 1)
+
+
 # -- resultant goldens -------------------------------------------------------------
 
 def test_resultant_linear_pair():

@@ -250,6 +250,86 @@ def test_superscript_digits_are_unexpected_characters():
     assert parse_poly("\u0663*x", XY1) == parse_poly("3*x", XY1)
 
 
+# -- error positions against an offset oracle ---------------------------------------
+
+def _position(text, k):
+    """(line, column) of character offset k: lines end at '\\n' only."""
+    return text.count("\n", 0, k) + 1, k - text.rfind("\n", 0, k)
+
+
+_GAPS = ["", " ", "\t", "\r", "\n", "\r\n", "\u00a0", "\u2003", "\u3000", "\n\t "]
+_PIECES = ["x", "y1", "2", "345", "i", "+", "-", "*", "^", "(", ")", "/"]
+
+
+def _spaced(rng, pieces):
+    """The pieces joined by random gaps; a gap between two pieces is never empty."""
+    return "".join(p + rng.choice(_GAPS[1:]) for p in pieces)
+
+
+def _expression(rng):
+    """A valid expression in XY1 as pieces: sums of products of powers."""
+    pieces = []
+    for k in range(rng.randint(1, 4)):
+        if k:
+            pieces.append(rng.choice("+-"))
+        for j in range(rng.randint(1, 3)):
+            if j:
+                pieces.append("*")
+            pieces.append(rng.choice(["x", "y1", "i", "345", "(", "2"]))
+            if pieces[-1] == "(":
+                pieces += ["x", "+", "1", ")"]
+            elif pieces[-1] == "2":
+                pieces += ["/", "3"]
+            if rng.random() < 0.3:
+                pieces += ["^", "2"]
+    return pieces
+
+
+def test_error_positions_match_the_offset_oracle():
+    rng = seeded(15)
+    limit = sys.get_int_max_str_digits()
+    for _ in range(300):
+        head = rng.choice(_GAPS) + _spaced(rng, _expression(rng))
+        case = rng.randrange(5)
+        if case == 0:  # one illegal character, reported before anything is read
+            pieces = [rng.choice(_PIECES) for _ in range(rng.randint(0, 8))]
+            k = rng.randrange(len(pieces) + 1)
+            before = rng.choice(_GAPS) + _spaced(rng, pieces[:k])
+            bad = rng.choice("@#$%&!?;,=\u00b2\u00bd")
+            text = before + bad + rng.choice(_GAPS) + _spaced(rng, pieces[k:])
+            k, message = len(before), f"unexpected character {bad!r}"
+        elif case == 1:  # a stray token after a whole expression
+            text = head + ")" + rng.choice(_GAPS) + "x"
+            k, message = len(head), "unexpected trailing ')'"
+        elif case == 2:  # the input ends inside a sum
+            text = head + "+" + rng.choice(_GAPS)
+            k, message = len(text), "unexpected 'end of input'"
+        elif case == 3:  # a negative exponent
+            text = head + "*x^" + rng.choice(_GAPS) + "(" + rng.choice(_GAPS) + "-1)"
+            k, message = text.index("-", len(head)), "exponent must be a non-negative integer"
+        else:  # a missing closing parenthesis
+            text = head + "*(x" + rng.choice(_GAPS[1:]) + "y"
+            k, message = len(text) - 1, "expected ')', found 'y'"
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_poly(text, XY1)
+        line, column = _position(text, k)
+        assert (info.value.line, info.value.column) == (line, column), repr(text)
+        assert str(info.value) == f"{message} (line {line}, column {column})", repr(text)
+        # positions written into the messages of other errors
+        text = head + "+ 7/" + rng.choice(_GAPS) + "0"
+        with pytest.raises(DivisionByZero) as info:
+            parse_poly(text, XY1)
+        assert str(info.value) == (
+            "zero denominator at line %d, column %d" % _position(text, len(text) - 1))
+        if limit:
+            text = head + "-" + "\n" * rng.randint(0, 2) + "9" * (limit + 1)
+            with pytest.raises(ExpansionTooLarge) as info:
+                parse_poly(text, XY1)
+            assert str(info.value) == (
+                "integer of %d digits at line %d, column %d is over the limit of %d digits"
+                % (limit + 1, *_position(text, len(text) - limit - 1), limit))
+
+
 # -- long inputs ------------------------------------------------------------------
 
 def test_long_flat_sum_parses():

@@ -107,6 +107,21 @@ def test_degree_overflow_guard():
         mul_sub(one, one, p, p)
 
 
+def test_pow_edges():
+    zero = SparsePoly.zero(Z1)
+    assert zero ** 0 == zp("1")
+    assert zero ** 1 == zero and zero ** 5 == zero
+    p = zp("(1/2)*z1 + i")
+    assert p ** 0 == zp("1")
+    assert p ** 1 == p
+    assert p ** 5 == p * p * p * p * p
+    # the degree guard does not look at exponent 0
+    assert zp("z1^999999") ** 0 == zp("1")
+    for bad in (-1, 2.0):
+        with pytest.raises(TypeError):
+            p ** bad
+
+
 def test_mul_sub_is_the_difference_of_products():
     a, b, c, d = zp("z1 + 1/2"), zp("z1 - 1/3"), zp("2/3*z1"), zp("z1 + i")
     assert mul_sub(a, b, c, d) == a * b - c * d

@@ -115,6 +115,15 @@ def test_pow():
     assert GQ_I ** 2 == gq(-1)
     assert gq(1, 1) ** 4 == gq(-4)
     assert gq(5) ** 0 == GQ_ONE
+    c = gq(Fraction(2, 3), Fraction(-1, 5))
+    assert gq(0) ** 0 == GQ_ONE
+    assert c ** 0 == GQ_ONE
+    assert c ** 1 == c
+    assert gq(0) ** 1 == gq(0)
+    assert c ** 3 == c * c * c
+    for bad in (-1, -4, 2.0, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            c ** bad
 
 
 def test_hash_consistency():

@@ -1,7 +1,9 @@
 """Report documents: lossless round trips and stable serialization."""
 
 import json
+from fractions import Fraction
 
+import pytest
 from support import random_poly, seeded
 
 from kholo import reports
@@ -13,6 +15,7 @@ from kholo.cartan import (
     restrict_g_identity,
 )
 from kholo.eliminate import AnnihilatorPair, EliminationReport, eliminate_annihilator
+from kholo.errors import InvalidComplex
 from kholo.exprio import parse_poly
 from kholo.polynomials import VarSpace
 from kholo.rationals import GaussianRational
@@ -86,6 +89,22 @@ def test_path_and_complex_round_trip():
     assert c2.top == c.top
     assert sub2.marked == sub.marked
     assert (sub2.start, sub2.end) == (sub.start, sub.end)
+
+
+def test_coordinate_grammar():
+    for value, expected in [(3, 3), (-7, -7), ("3", 3), ("-1/2", Fraction(-1, 2)),
+                            ("+0.125", Fraction(1, 8)), (" 2/4 ", Fraction(1, 2)),
+                            ("." + "3" * 40, Fraction(int("3" * 40), 10**40))]:
+        assert reports._coordinate(value) == expected
+    for value in ["1e5", "2E-3", " -1.5e+3", "1e10000000"]:
+        with pytest.raises(InvalidComplex, match="uses exponent notation"):
+            reports._coordinate(value)
+    for value in [0.1, 1.0, float("inf")]:
+        with pytest.raises(InvalidComplex, match="is a JSON number"):
+            reports._coordinate(value)
+    for value in ["1/0", "a", "", "1/2/3", "one", "1/2e3", None, True, [1], "9" * 5000]:
+        with pytest.raises(InvalidComplex, match="is not a rational number"):
+            reports._coordinate(value)
 
 
 def test_document_envelope_and_determinism():
