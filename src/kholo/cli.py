@@ -26,7 +26,7 @@ from kholo.branches import covering_check, discriminant
 from kholo.cartan import check_pluriharmonic, reconstruct_from_real_part, verify_g_holomorphic
 from kholo.eliminate import AnnihilatorPair, eliminate_annihilator
 from kholo.errors import DimensionOutOfRange, KholoError
-from kholo.exprio import parse_point, parse_poly, print_poly
+from kholo.exprio import check_printable, parse_points, parse_poly, print_poly
 from kholo.polynomials import VarSpace
 from kholo.simplicial import route_path, verify_avoidance
 
@@ -135,8 +135,7 @@ def _cmd_discriminant(args):
 def _cmd_fibers(args):
     space = VarSpace.zt(args.n)
     p = parse_poly(_read_text_arg(args.expr), space)
-    points = [parse_point(part, args.n)
-              for part in args.points.split(";") if part.strip()]
+    points = parse_points(args.points, args.n)
     report = covering_check(p, points)
     doc = reports.document("fibers", {"p": reports.poly_to_doc(p)},
                            reports.report_to_doc(report), EXIT_OK)
@@ -155,6 +154,7 @@ def _cmd_route(args):
         return EXIT_INPUT
     complex_, sub = reports.complex_from_doc(payload)
     path = route_path(complex_, sub)
+    check_printable((c for point in path.waypoints for c in point), "a waypoint coordinate")
     avoided, witness = verify_avoidance(path, complex_, sub)
     code = EXIT_OK if avoided else EXIT_NEGATIVE
     result = reports.report_to_doc(path)

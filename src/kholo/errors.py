@@ -68,6 +68,10 @@ class ExpansionTooLarge(InputError):
     """An expression would expand past the term budget or the integer digit limit."""
 
 
+class AnswerTooLarge(InputError):
+    """An answer holds an integer with more digits than ``str`` converts."""
+
+
 class InexactDivision(KholoError):
     """Polynomial division expected to be exact left a remainder."""
 

@@ -28,14 +28,17 @@ sum, may expand to at most ``polynomials.MAX_EXPANSION_TERMS`` terms
 (|A|*|B| for sums of |A| and |B| terms), and no integer may pass the
 interpreter's ``int``/``str`` digit limit (``sys.get_int_max_str_digits()``,
 checked on literals, bounded before a power is taken and checked on the
-result).  Both refusals raise ExpansionTooLarge, an input error.
+result).  Both refusals raise ExpansionTooLarge, an input error.  An answer
+is held to the same digit limit before it is printed: ``check_printable``
+refuses it with AnswerTooLarge, also an input error.
 
 The tokenizer yields three parallel lists: the kinds the parser peeks at,
 the token texts and each token's start offset in the text.  Only an error
 turns an offset into its line (one plus the line feeds before it) and
 column (the offset from the last line feed, so a tab, a carriage return or
-a non-ASCII space counts one column).  Rational literals are built straight
-in the canonical ``(x, y, d)`` form.
+a non-ASCII space counts one column).  A sample point is parsed in place, so
+its positions are those in the whole points argument.  Rational literals are
+built straight in the canonical ``(x, y, d)`` form.
 
 The printer emits the canonical form (graded-lex descending terms,
 coefficients as ``a``, ``a/b`` or ``(a+b*i)``); parsing its output always
@@ -49,6 +52,7 @@ from math import gcd, lcm, log10
 from operator import add
 
 from kholo.errors import (
+    AnswerTooLarge,
     DegreeOverflow,
     DivisionByZero,
     ExpansionTooLarge,
@@ -72,15 +76,14 @@ def _line_column(text, offset):
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text):
-    """The tokens of the text as three parallel lists: kinds, texts, start offsets.
+def _tokenize(text, pos, length):
+    """The tokens of ``text[pos:length]`` as three parallel lists: kinds, texts
+    and start offsets in the whole text.
 
     A kind is 'int', 'ident', a symbol or 'end'; the one 'end' token is empty
-    and starts at ``len(text)``.
+    and starts at ``length``.
     """
     kinds, texts, starts = [], [], []
-    pos = 0
-    length = len(text)
     while pos < length:
         ch = text[pos]
         if ch.isspace():
@@ -184,6 +187,24 @@ def _check_digits(terms, limit):
                 f"over the limit of {limit} digits")
 
 
+def check_printable(values, what):
+    """Refuse an answer holding a rational whose numerator or denominator has
+    more digits than ``str`` converts (the limit the parser enforces), before
+    any of it is printed; ``what`` names the values in the message.  As in
+    :func:`_check_digits`, bit lengths decide and no integer becomes text."""
+    limit = _digit_limit()
+    if not limit:
+        return
+    cap = limit * 3321928 // 1000000
+    for value in values:
+        n, d = value.numerator, value.denominator
+        bits = max(n.bit_length(), d.bit_length())
+        if bits > cap and max(abs(n), d) >= 10**limit:
+            raise AnswerTooLarge(
+                f"answer too large to print: {what} has up to {int(bits * 0.30103) + 1} "
+                f"digits, over the limit of {limit} digits")
+
+
 # -- parser -------------------------------------------------------------------
 #
 # Each production returns its value in the space: a monomial, the tuple
@@ -193,9 +214,9 @@ def _check_digits(terms, limit):
 # sums.
 
 class _Parser:
-    def __init__(self, text, space):
+    def __init__(self, text, space, start, stop):
         self.text = text
-        self.kinds, self.texts, self.starts = _tokenize(text)
+        self.kinds, self.texts, self.starts = _tokenize(text, start, stop)
         self.pos = 0
         self.depth = 0
         self.space = space
@@ -406,37 +427,62 @@ def parse_poly(text, space):
     power, that could expand past ``MAX_EXPANSION_TERMS`` terms, and any
     integer beyond the interpreter's ``int``/``str`` digit limit.
     """
-    parser = _Parser(text, space)
+    return SparsePoly(space, _parse_terms(text, space, 0, len(text)))
+
+
+def _parse_terms(text, space, start, stop):
+    """The term map of the expression ``text[start:stop]``; an error names
+    its line and column in the whole text."""
+    parser = _Parser(text, space, start, stop)
     terms = parser.parse()
     _check_digits(terms, parser.limit)
-    return SparsePoly(space, terms)
+    return terms
+
+
+_CONSTANTS = VarSpace((), 0)
+
+
+def _gaussian(text, start, stop):
+    return SparsePoly(_CONSTANTS, _parse_terms(text, _CONSTANTS, start, stop)).constant_term()
 
 
 def parse_gaussian(text):
     """Parse a constant expression to a GaussianRational."""
-    empty = VarSpace((), 0)
-    return parse_poly(text, empty).constant_term()
+    return _gaussian(text, 0, len(text))
 
 
-def parse_point(text, n):
-    """Parse a comma-separated Gaussian-rational tuple of arity n."""
-    parts = []
+def parse_point(text, n, start=0, stop=None):
+    """Parse the comma-separated Gaussian-rational tuple of arity n in
+    ``text[start:stop]``; an error names its line and column in the whole text."""
+    stop = len(text) if stop is None else stop
+    cuts = [start - 1]
     depth = 0
-    current = []
-    for ch in text:
+    for k in range(start, stop):
+        ch = text[k]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    if len(parts) != n:
-        raise ExprSyntaxError(f"expected {n} coordinates, found {len(parts)}")
-    return tuple(parse_gaussian(part) for part in parts)
+        elif ch == "," and depth == 0:
+            cuts.append(k)
+    cuts.append(stop)
+    if len(cuts) - 1 != n:
+        first = next((k for k in range(start, stop) if not text[k].isspace()), start)
+        raise ExprSyntaxError(f"expected {n} coordinates, found {len(cuts) - 1}",
+                              *_line_column(text, first))
+    return tuple(_gaussian(text, a + 1, b) for a, b in zip(cuts, cuts[1:]))
+
+
+def parse_points(text, n):
+    """Parse the semicolon-separated points of arity n in the text, skipping
+    blank ones; an error names its line and column in the whole text."""
+    points = []
+    start = 0
+    for stop in [k for k, ch in enumerate(text) if ch == ";"] + [len(text)]:
+        if text[start:stop].strip():
+            points.append(parse_point(text, n, start, stop))
+        start = stop + 1
+    return points
 
 
 # -- printer ------------------------------------------------------------------

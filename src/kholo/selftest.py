@@ -14,11 +14,12 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 
 from kholo.branches import covering_check, discriminant, distinct_root_count_exact, locus_membership
 from kholo.cartan import reconstruct_from_real_part, restrict_g_identity, verify_g_holomorphic
 from kholo.eliminate import AnnihilatorPair, eliminate_annihilator, verify_annihilator
-from kholo.errors import Disconnected, KholoError
+from kholo.errors import Disconnected, InvalidComplex, KholoError
 from kholo.exprio import format_gaussian, parse_poly, print_poly
 from kholo.polynomials import SparsePoly, VarSpace, rename_space, split_real_imag
 from kholo.rationals import GaussianRational
@@ -75,6 +76,45 @@ def grid_complex(rows, cols, diagonals=None):
             else:
                 top += [(a, b, e), (b, d, e)]
     return SimplicialComplex(dim=2, vertices=vertices, top=top)
+
+
+def rational_complex(rng, dim, max_side, bound=9):
+    """A seeded valid complex in the plane or in space with mixed-denominator
+    rational vertices.
+
+    A grid of 1..``max_side`` cells per axis (split squares with random
+    diagonals in the plane, cubes split into Freudenthal's six tetrahedra in
+    space) is mapped by a random invertible rational affine map, which keeps
+    it a triangulation.
+    """
+    if dim == 2:
+        rows, cols = rng.randint(1, max_side), rng.randint(1, max_side)
+        grid = grid_complex(rows, cols, [rng.randint(0, 1) for _ in range(rows * cols)])
+        points, top = grid.vertices, grid.top
+    else:
+        sides = [rng.randint(1, max_side) for _ in range(dim)]
+        points = list(product(*(range(side + 1) for side in sides)))
+        index = {p: k for k, p in enumerate(points)}
+        top = []
+        for corner in product(*(range(side) for side in sides)):
+            for order in permutations(range(dim)):
+                walk = [list(corner)]
+                for axis in order:
+                    walk.append(walk[-1][:])
+                    walk[-1][axis] += 1
+                top.append(tuple(index[tuple(p)] for p in walk))
+    while True:
+        matrix = [[random_fraction(rng, bound) for _ in range(dim)] for _ in range(dim)]
+        # the map is invertible iff the images of the unit simplex span R^dim
+        try:
+            SimplicialComplex(dim, [[0] * dim] + matrix, [tuple(range(dim + 1))])
+            break
+        except InvalidComplex:
+            continue
+    shift = [random_fraction(rng, bound) for _ in range(dim)]
+    vertices = [tuple(shift[r] + sum(row[r] * c for row, c in zip(matrix, p))
+                      for r in range(dim)) for p in points]
+    return SimplicialComplex(dim=dim, vertices=vertices, top=top)
 
 
 @dataclass(frozen=True)
@@ -196,6 +236,27 @@ def check_router(rng, grids=1, max_side=1):
     return "a route joined two separate triangles"
 
 
+def check_waypoints(rng, complexes=1, max_side=2):
+    """On rational complexes in the plane and in space, the barycenter of each
+    top and of one of its facets is the mean of its vertices, and every
+    waypoint of a route between two random vertices lies in the complex."""
+    for _ in range(complexes):
+        for dim in (2, 3):
+            complex_ = rational_complex(rng, dim, max_side)
+            for simplex in complex_.top:
+                for face in (simplex, simplex[1:]):
+                    points = [complex_.vertices[i] for i in face]
+                    mean = tuple(sum(column) / len(face) for column in zip(*points))
+                    if complex_.barycenter(face) != mean:
+                        return f"the barycenter of {face} in a {dim}-D complex is not its mean"
+            nverts = len(complex_.vertices)
+            sub = Subcomplex(complex_, [], start=rng.randrange(nverts), end=rng.randrange(nverts))
+            for point in route_path(complex_, sub).waypoints:
+                if not complex_.contains_point(point):
+                    return f"a waypoint of a {dim}-D route lies outside its complex"
+    return None
+
+
 _FUZZ_ALPHABET = "xyzwti0123456789+-*/^()., ;@#$%&[]{}\\\"'`~=<>?!éβ\n\t"
 
 
@@ -225,6 +286,7 @@ CHECKS = (
     ("discriminant goldens", check_discriminants),
     ("fiber constancy", check_fibers),
     ("barycentric router", check_router),
+    ("waypoints and barycenters", check_waypoints),
     ("parser round trip and fuzz", check_parser),
 )
 

@@ -11,20 +11,27 @@ against face intersection is a small linear feasibility problem solved by
 Gaussian elimination, with at most one free parameter (the faces of a valid
 complex are affinely independent).
 
-Validation and point location run on integers: the vertices are scaled once
-by the lcm of all their coordinate denominators, which keeps every
-orientation sign.  The pairwise validator tests only the pairs of triangles
-whose closed bounding boxes meet, found by a sort-and-sweep; it is still run
-only in the plane.  Point location and the segment-face tests look their
-candidates up in a bounding-box index: a simplex or face whose closed box
-misses the point, or the segment's box, cannot meet it.
+Validation, point location and barycenters run on the integer lattice: the
+vertices are scaled once by the lcm of all their coordinate denominators,
+which keeps every orientation sign, and each top's signed lattice volume is
+kept from the non-degeneracy check.  A rational point becomes a homogeneous
+lattice point (P, m), integers with point * scale == P / m, and it lies in a
+top iff no barycentric coordinate, a signed volume with the m-scaled
+vertices, has the opposite sign of the top's volume.  A barycenter is the sum
+of its lattice vertices over k * scale, one Fraction per coordinate.  The
+pairwise validator tests only the pairs of triangles whose closed bounding
+boxes meet, found by a sort-and-sweep, against each triangle's three edge
+lines, built once per complex; it is still run only in the plane.
+Point location and the segment-face tests look their candidates up in a
+bounding-box index: a simplex or face whose closed box misses the point, or
+the segment's box, cannot meet it.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, lcm
+from math import gcd, lcm
 
 from kholo.errors import (
     Disconnected,
@@ -91,12 +98,6 @@ class _BoxIndex:
         stop = bisect_right(self.lows, box[1][0])
         return sorted(k for k in self.order[start:stop]
                       if _boxes_meet(self.boxes[k], box))
-
-
-def _orient(a, b, c):
-    """Twice the signed area of the triangle abc: ``_signed_volume`` in the
-    plane, written out for the validator's inner loop."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 # -- exact linear algebra -----------------------------------------------------
@@ -226,21 +227,6 @@ def _signed_volume(points):
                          for p in others])
 
 
-def _point_in_simplex(point, vertices):
-    """Exact membership of a point of R^n in the closed simplex on n+1 vertices.
-
-    The barycentric coordinates are ratios of signed volumes (Cramer's rule),
-    so the point is inside iff none of them has the opposite sign of the
-    simplex's volume.  Runs on integers over one denominator.
-    """
-    _, (p, *pts) = _integer_points((point, *vertices))
-    volume = _signed_volume(pts)
-    if volume == 0:
-        raise InvalidComplex("degenerate simplex in membership test")
-    return all(_signed_volume(pts[:j] + [p] + pts[j + 1:]) * volume >= 0
-               for j in range(len(pts)))
-
-
 def _segment_meets_face(p, q, face_coords, exclude_p=False, exclude_q=False):
     """Does the closed segment [p, q] meet the closed face, exactly?
 
@@ -314,6 +300,7 @@ class SimplicialComplex:
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidComplex("two vertices share the same coordinates")
         self._scale, self._lattice = _integer_points(self.vertices)
+        self._volumes = []
         seen = set()
         for simplex in self.top:
             if len(simplex) != n + 1:
@@ -335,8 +322,10 @@ class SimplicialComplex:
             self._check_pairwise_plane()
 
     def _check_nondegenerate(self, simplex):
-        if _signed_volume([self._lattice[i] for i in simplex]) == 0:
+        volume = _signed_volume([self._lattice[i] for i in simplex])
+        if volume == 0:
             raise InvalidComplex(f"top simplex {simplex} is affinely degenerate")
+        self._volumes.append(volume)
 
     def _check_segments(self):
         # sorted by left end, a segment's interior meets an earlier one's
@@ -368,33 +357,46 @@ class SimplicialComplex:
         # ends are shared vertices, the two edges are the same index pair,
         # which is skipped.
         pts = self._lattice
-        areas = [_orient(*(pts[k] for k in tri)) for tri in self.top]
+        lines = [self._edge_lines(tri, area) for tri, area in zip(self.top, self._volumes)]
         for i, j in _meeting_pairs(self._boxes):
             s1, s2 = self.top[i], self.top[j]
-            for tri, area, other in ((s1, areas[i], s2), (s2, areas[j], s1)):
-                a, b, c = (pts[k] for k in tri)
+            for tri, edges, other in ((s1, lines[i], s2), (s2, lines[j], s1)):
+                (_, a1, b1, c1), (_, a2, b2, c2), (_, a3, b3, c3) = edges
                 for v in other:
                     if v in tri:
                         continue
-                    p = pts[v]
-                    # p is in the closed triangle iff no barycentric
-                    # coordinate has the opposite sign of the area
-                    if (_orient(p, b, c) * area >= 0
-                            and _orient(a, p, c) * area >= 0
-                            and _orient(a, b, p) * area >= 0):
+                    x, y = pts[v]
+                    # vertex v is in the closed triangle iff it is on the
+                    # triangle's side of, or on, each of its three edge lines
+                    if (a1 * x + b1 * y + c1 >= 0 and a2 * x + b2 * y + c2 >= 0
+                            and a3 * x + b3 * y + c3 >= 0):
                         raise InvalidComplex(
                             f"vertex {v} lies inside top simplex {tri}")
-            for e1 in combinations(s1, 2):
-                for e2 in combinations(s2, 2):
+            for e1, a1, b1, c1 in lines[i]:
+                (x1, y1), (x2, y2) = pts[e1[0]], pts[e1[1]]
+                for e2, a2, b2, c2 in lines[j]:
                     # edges with a common vertex cannot cross improperly
                     if e1[0] in e2 or e1[1] in e2:
                         continue
-                    a, b = pts[e1[0]], pts[e1[1]]
-                    c, d = pts[e2[0]], pts[e2[1]]
-                    if (_orient(a, b, c) * _orient(a, b, d) < 0
-                            and _orient(c, d, a) * _orient(c, d, b) < 0):
+                    (x3, y3), (x4, y4) = pts[e2[0]], pts[e2[1]]
+                    if ((a1 * x3 + b1 * y3 + c1) * (a1 * x4 + b1 * y4 + c1) < 0
+                            and (a2 * x1 + b2 * y1 + c2) * (a2 * x2 + b2 * y2 + c2) < 0):
                         raise InvalidComplex(
                             f"edges {e1} and {e2} cross improperly")
+
+    def _edge_lines(self, tri, area):
+        """The edges of a triangle in the order of combinations(tri, 2), each
+        as (edge, a, b, c): a*x + b*y + c is twice the signed area of the
+        edge and the lattice point (x, y), positive on the triangle's side."""
+        sign = 1 if area > 0 else -1
+        edges = []
+        # the third vertex is on the left of the first and last edges iff the
+        # area is positive, and on the right of the middle one
+        for (u, v), side in zip(combinations(tri, 2), (sign, -sign, sign)):
+            (u0, u1), (v0, v1) = self._lattice[u], self._lattice[v]
+            edges.append(((u, v), side * (u1 - v1), side * (v0 - u0),
+                          side * (u0 * v1 - u1 * v0)))
+        return edges
 
     # -- faces ---------------------------------------------------------------
 
@@ -407,26 +409,54 @@ class SimplicialComplex:
                    for simplex in self._stars.get(min(face), ()))
 
     def barycenter(self, face):
-        pts = [self.vertices[i] for i in face]
-        m = len(pts)
-        return tuple(sum(p[r] for p in pts) / m for r in range(self.dim))
+        """The mean of the face's vertices: the sum of its lattice vertices
+        over len(face) * scale, one Fraction per coordinate."""
+        k = len(face) * self._scale
+        return tuple(Fraction(sum(column), k)
+                     for column in zip(*(self._lattice[i] for i in face)))
 
     def _lattice_box(self, face):
         return _box([self._lattice[i] for i in face])
 
-    def _query_box(self, points):
-        """Integer box that meets exactly the lattice boxes that the closed
-        box of the rational ``points`` meets (the ends are integers)."""
-        lows, highs = _box(points)
-        return (tuple(ceil(c * self._scale) for c in lows),
-                tuple(floor(c * self._scale) for c in highs))
+    def _lattice_point(self, point):
+        """Homogeneous lattice coordinates of a rational point and its box.
+
+        Returns (P, m, box): integers P and m > 0 with point * scale == P / m,
+        and box = (ceil(P / m), floor(P / m)), which meets exactly the lattice
+        boxes whose closed extent holds the point.
+        """
+        scale = self._scale
+        nums, dens = [], []
+        for c in point:
+            d = c.denominator
+            g = gcd(scale, d)
+            nums.append(c.numerator * (scale // g))
+            dens.append(d // g)
+        m = lcm(*dens)
+        lattice = tuple(a * (m // d) for a, d in zip(nums, dens))
+        return lattice, m, (tuple(-(-a // m) for a in lattice),
+                            tuple(a // m for a in lattice))
+
+    def _contains(self, lattice, m, box):
+        """Is the homogeneous lattice point (lattice, m) in a closed top?
+
+        Scaling the top's vertices by m > 0 keeps every sign, so the point
+        is inside iff no barycentric coordinate, a signed volume on the
+        scaled vertices, has the opposite sign of the top's volume.
+        """
+        for k in self._index.meeting(box):
+            volume = self._volumes[k]
+            pts = [self._lattice[i] for i in self.top[k]]
+            if m != 1:
+                pts = [tuple(m * c for c in p) for p in pts]
+            if all(_signed_volume(pts[:j] + [lattice] + pts[j + 1:]) * volume >= 0
+                   for j in range(len(pts))):
+                return True
+        return False
 
     def contains_point(self, point):
-        point = _frac_point(point)
         # a top whose closed box misses the point cannot contain it
-        return any(
-            _point_in_simplex(point, [self.vertices[i] for i in self.top[k]])
-            for k in self._index.meeting(self._query_box([point])))
+        return self._contains(*self._lattice_point(_frac_point(point)))
 
 
 class Subcomplex:
@@ -571,15 +601,21 @@ def verify_avoidance(path, complex_, sub):
     The endpoint vertices are exempted at the path's two ends only.  Returns
     (True, None) or (False, (segment_index, face)) with the first violation.
     """
+    boxes = []
     for point in path.waypoints:
-        if not complex_.contains_point(point):
+        lattice, m, box = complex_._lattice_point(point)
+        if not complex_._contains(lattice, m, box):
             raise InvalidPath(f"waypoint {point} lies outside the complex")
+        boxes.append(box)
     faces = _BoxIndex([complex_._lattice_box(face) for face in sub.marked])
     segments = path.segments()
     last = len(segments) - 1
     for idx, (p, q) in enumerate(segments):
-        # a face whose closed box misses the segment's cannot meet it
-        for k in faces.meeting(complex_._query_box((p, q))):
+        # a face whose closed box misses the segment's cannot meet it; the
+        # segment's integer box spans its two endpoints' boxes
+        (p_lo, p_hi), (q_lo, q_hi) = boxes[idx], boxes[idx + 1]
+        box = tuple(map(min, p_lo, q_lo)), tuple(map(max, p_hi, q_hi))
+        for k in faces.meeting(box):
             face = sub.marked[k]
             exclude_p = idx == 0 and face == (sub.start,)
             exclude_q = idx == last and face == (sub.end,)

@@ -8,10 +8,12 @@ through the GaussianRational operators, one reduction per operation; the
 calculus oracles substitute by whole-polynomial products and differentiate by
 composing partials, and build g and the pluriharmonic check the long way;
 the printer oracle reads each coefficient through its Fraction parts; the
-evaluation oracle sums reduced GaussianRational products.
-The corpus generators (``random_fraction``, ``random_gq``, ``random_poly``)
-and ``grid_complex`` live in ``kholo.selftest``, whose checks the acceptance
-suite shares; they are re-exported here.
+evaluation oracle sums reduced GaussianRational products; the point-in-simplex
+oracle scales the point and the simplex by their own lcm on each call, where
+the router locates points on its complex's lattice.
+The corpus generators (``random_fraction``, ``random_gq``, ``random_poly``,
+``grid_complex`` and ``rational_complex``) live in ``kholo.selftest``, whose
+checks the acceptance suite shares; they are re-exported here.
 """
 
 import random
@@ -23,6 +25,7 @@ from kholo.errors import (
     IncompleteSubstitution,
     IndexOutOfRange,
     InexactDivision,
+    InvalidComplex,
     SpaceMismatch,
 )
 from kholo.polynomials import (
@@ -44,7 +47,14 @@ from kholo.rationals import (
     terms_scale,
     terms_sub,
 )
-from kholo.selftest import grid_complex, random_fraction, random_gq, random_poly  # noqa: F401
+from kholo.selftest import (  # noqa: F401
+    grid_complex,
+    random_fraction,
+    random_gq,
+    random_poly,
+    rational_complex,
+)
+from kholo.simplicial import _integer_points, _signed_volume
 
 
 def assert_canonical_gq(c):
@@ -382,6 +392,22 @@ def evaluate_complex(p, point):
 
 
 # -- simplicial oracle -------------------------------------------------------------
+
+def point_in_simplex(point, vertices):
+    """Exact membership of a point of R^n in the closed simplex on n+1 vertices.
+
+    The barycentric coordinates are ratios of signed volumes (Cramer's rule),
+    so the point is inside iff none of them has the opposite sign of the
+    simplex's volume.  Runs on integers over the lcm of this call's
+    denominators.
+    """
+    _, (p, *pts) = _integer_points((point, *vertices))
+    volume = _signed_volume(pts)
+    if volume == 0:
+        raise InvalidComplex("degenerate simplex in membership test")
+    return all(_signed_volume(pts[:j] + [p] + pts[j + 1:]) * volume >= 0
+               for j in range(len(pts)))
+
 
 def shared_facet_pairs(complex_):
     """Oracle: brute-force pair enumeration counting shared (n-1)-faces."""

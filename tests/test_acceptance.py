@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Criteria 1-3 and 5-8 run the checks of ``kholo selftest`` (``kholo.selftest``)
+Criteria 1-3 and 5-9 run the checks of ``kholo selftest`` (``kholo.selftest``)
 at the seeds and sizes pinned in ``SHARED``, far larger than the command's
 defaults; a guard test keeps that table paired with the command's list of
 checks.  What stays written out here needs a test-side oracle: criterion 4
@@ -44,6 +44,7 @@ SHARED = {
     6: (selftest.check_fibers, 1006, {"family": FIBER_FAMILY, "samples": 20, "bound": 10}),
     7: (selftest.check_router, 1007, {"grids": 100, "max_side": 4}),
     8: (selftest.check_parser, 1008, {"corpus": PARSER, "fuzz": 10_000, "fuzz_length": 50}),
+    9: (selftest.check_waypoints, 1009, {"complexes": 30, "max_side": 3}),
 }
 
 
@@ -68,7 +69,7 @@ def criterion(number, name):
 def test_shared_checks_pair_with_selftest():
     in_acceptance = [check for check, _, _ in SHARED.values()]
     in_selftest = [check for _, check in selftest.CHECKS]
-    assert sorted(SHARED) == [1, 2, 3, 5, 6, 7, 8]
+    assert sorted(SHARED) == [1, 2, 3, 5, 6, 7, 8, 9]
     assert len(set(in_acceptance)) == len(in_acceptance)
     assert set(in_acceptance) <= set(in_selftest)
     assert [c for c in in_selftest if c not in in_acceptance] == [selftest.check_field_axioms]
@@ -153,3 +154,8 @@ def test_criterion_7_router_on_random_grids():
 def test_criterion_8_parser_round_trip_and_fuzz():
     with criterion(8, "parser round trip and fuzz"):
         assert shared(8) is None
+
+
+def test_criterion_9_waypoints_and_barycenters():
+    with criterion(9, "lattice waypoints and barycenters in 2-D and 3-D"):
+        assert shared(9) is None

@@ -186,7 +186,7 @@ def test_expression_from_file(tmp_path, capsys):
 
 CHECK_NAMES = ["field axioms", "cartan round trip", "g restriction and holomorphy",
                "annihilator elimination", "discriminant goldens", "fiber constancy",
-               "barycentric router", "parser round trip and fuzz"]
+               "barycentric router", "waypoints and barycenters", "parser round trip and fuzz"]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
@@ -157,6 +158,9 @@ CASES = [
     ("fibers-on-locus", ["fibers", "-n", "1", "t^2 - z1", "1; 0"], None),
     ("fibers-leading-vanishes", ["fibers", "-n", "1", "z1*t^2 + t + 1", "0"], None),
     ("fibers-arity", ["fibers", "-n", "2", "t^2 - z1", "1"], None),
+    # an error position is a column of the whole points argument
+    ("fibers-position-in-points", ["fibers", "-n", "2", "t^2 - z1", "1, 2; 3,   4 + @"], None),
+    ("fibers-arity-second-point", ["fibers", "-n", "2", "t^2 - z1", "1, 2;  3"], None),
     ("fibers-huge-coefficient", ["fibers", "-n", "1", "t^2 - 10^400*z1", "1; 2"], None),
     ("fibers-mixed-denominators",
      ["fibers", "-n", "1", "--", "(1/2 + 7/3*i)*t^3 + 2/3*z1*t + 5/6", "1; 2; 1/2+i; 0"], None),
@@ -215,6 +219,13 @@ CASES = [
     ("route-coordinate-integer-too-long", ["route", "-"],
      '{"ambient_dim": 2, "vertices": [[0, 0], [%s, 0], [0, 1]], "top": [[0, 1, 2]], '
      '"marked": [], "endpoints": [0, 1]}' % ("1" * 5000)),
+    # answers refused before printing: each coordinate is within the digit
+    # limit, a barycenter is not
+    ("route-barycenter-past-digit-limit", ["route", "-"],
+     _doc(2, [(10**4300 - 1, 0), (10**4300 - 2, 0), (10**4300 - 2, 1)], [[0, 1, 2]], [], [0, 1])),
+    ("route-barycenter-denominator-past-digit-limit", ["route", "--format", "plain", "-"],
+     _doc(2, [(Fraction(1, 10**1499), 0), (Fraction(10**1499 + 2, 10**1499 + 1), 0),
+              (Fraction(1, 10**1499 + 3), 1)], [[0, 1, 2]], [], [0, 1])),
     # selftest
     ("selftest-seed-3", ["selftest", "--seed", "3"], None),
     # argparse: help and usage errors

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from support import grid_complex, seeded, shared_facet_pairs
+from support import grid_complex, point_in_simplex, seeded, shared_facet_pairs
 
 from kholo.errors import (
     Disconnected,
@@ -16,7 +16,6 @@ from kholo.simplicial import (
     PLPath,
     SimplicialComplex,
     Subcomplex,
-    _point_in_simplex,
     _solve_affine,
     facet_adjacency,
     route_path,
@@ -288,9 +287,9 @@ def test_barycenter_strictly_interior():
 def test_point_in_simplex_boundary_and_interior():
     tri = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)),
            (Fraction(0), Fraction(2))]
-    assert _point_in_simplex((Fraction(1), Fraction(0)), tri)
-    assert _point_in_simplex((Fraction(1, 2), Fraction(1, 2)), tri)
-    assert not _point_in_simplex((Fraction(2), Fraction(2)), tri)
+    assert point_in_simplex((Fraction(1), Fraction(0)), tri)
+    assert point_in_simplex((Fraction(1, 2), Fraction(1, 2)), tri)
+    assert not point_in_simplex((Fraction(2), Fraction(2)), tri)
 
 
 # -- randomized soundness -----------------------------------------------------------

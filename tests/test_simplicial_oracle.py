@@ -1,5 +1,6 @@
-"""Differential tests: the integer validator and point location against the
-all-pairs Fraction implementations they replaced.
+"""Differential tests: the integer validator, lattice point location,
+barycenters and the avoidance verifier against the all-pairs Fraction
+implementations they replaced.
 
 ``AllPairsComplex`` keeps the earlier plane validator verbatim, with its
 Fraction predicates and its collinear-overlap branch, which the integer
@@ -7,19 +8,23 @@ validator drops as unreachable.  A counterexample to that argument would show
 up here as a differing outcome.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from support import grid_complex, seeded
+from support import grid_complex, point_in_simplex, rational_complex, seeded
 
-from kholo.errors import InvalidComplex, InvalidSubcomplex
+from kholo.errors import InvalidComplex, InvalidPath, InvalidSubcomplex
 from kholo.simplicial import (
+    PLPath,
     SimplicialComplex,
     Subcomplex,
     _determinant,
-    _point_in_simplex,
+    _segment_meets_face,
     _solve_affine,
+    route_path,
+    verify_avoidance,
 )
 
 # -- the oracles ------------------------------------------------------------------
@@ -99,6 +104,27 @@ def assert_same_outcome(vertices, top):
 def contains_by_scan(complex_, point):
     return any(fraction_point_in_simplex(point, [complex_.vertices[i] for i in s])
                for s in complex_.top)
+
+
+def mean(points):
+    return tuple(sum(column) / len(points) for column in zip(*points))
+
+
+def verify_by_scan(path, complex_, sub):
+    """The avoidance verdict by a Fraction scan: every waypoint located over
+    every top, every segment tested against every marked face in order."""
+    for point in path.waypoints:
+        if not contains_by_scan(complex_, point):
+            raise InvalidPath(f"waypoint {point} lies outside the complex")
+    segments = path.segments()
+    for idx, (p, q) in enumerate(segments):
+        for face in sub.marked:
+            exclude_p = idx == 0 and face == (sub.start,)
+            exclude_q = idx == len(segments) - 1 and face == (sub.end,)
+            if _segment_meets_face(p, q, [complex_.vertices[i] for i in face],
+                                   exclude_p=exclude_p, exclude_q=exclude_q):
+                return False, (idx, face)
+    return True, None
 
 
 # -- validation -----------------------------------------------------------------------
@@ -182,26 +208,114 @@ def test_collinear_overlap_is_reported_as_a_vertex_inside():
 # -- point location ---------------------------------------------------------------------
 
 
+def probe_points(complex_, rng):
+    """Vertices, points on edges and facets, barycenters, points in the
+    bounding box, and points just outside a top or the whole complex."""
+    vertices = complex_.vertices
+    center = mean(vertices)
+    tiny = Fraction(1, 10**6 + rng.randint(1, 99))
+    points = list(vertices)
+    # each vertex pushed away from the center: the hull's corners go outside
+    points += [tuple(c + tiny * (c - m) for c, m in zip(v, center)) for v in vertices]
+    for simplex in complex_.top:
+        a, b = (vertices[i] for i in rng.sample(simplex, 2))
+        for t in (Fraction(1, 2), Fraction(1, 3), Fraction(rng.randint(0, 9), 9)):
+            points.append(tuple(p + t * (q - p) for p, q in zip(a, b)))
+        k = rng.randrange(len(simplex))
+        facet = [vertices[i] for i in simplex[:k] + simplex[k + 1:]]
+        weights = [rng.randint(1, 5) for _ in facet]
+        on_facet = tuple(sum(w * v[r] for w, v in zip(weights, facet)) / sum(weights)
+                         for r in range(complex_.dim))
+        # just beyond the facet, away from the opposite vertex: outside this
+        # top, inside its neighbour across an interior facet
+        points += [on_facet, complex_.barycenter(simplex),
+                   tuple(c + tiny * (c - o) for c, o in zip(on_facet, vertices[simplex[k]]))]
+    lows = [min(column) for column in zip(*vertices)]
+    highs = [max(column) for column in zip(*vertices)]
+    for _ in range(40):
+        points.append(tuple(lo + (hi - lo) * Fraction(rng.randint(-2, 34), 32)
+                            for lo, hi in zip(lows, highs)))
+    return points
+
+
+def oracle_complexes(rng):
+    """Jittered plane grids over three denominators, then affine images of
+    plane grids and of Freudenthal-split cubes with mixed denominators."""
+    for den in (1, 3, 2**40):
+        yield SimplicialComplex(2, *rational_grid(rng, 3, 3, den))
+    for dim in (2, 2, 3, 3):
+        yield rational_complex(rng, dim, 2)
+
+
 def test_contains_point_matches_scan_over_all_tops():
     rng = seeded(3304)
-    for den in (1, 3, 2**40):
-        vertices, top = rational_grid(rng, 3, 3, den)
-        complex_ = SimplicialComplex(dim=2, vertices=vertices, top=top)
-        points = list(complex_.vertices)
-        for simplex in complex_.top:
-            for i, j in combinations(simplex, 2):
-                a, b = complex_.vertices[i], complex_.vertices[j]
-                for t in (Fraction(1, 2), Fraction(1, 3), Fraction(rng.randint(0, 9), 9)):
-                    points.append(tuple(p + t * (q - p) for p, q in zip(a, b)))
-            points.append(complex_.barycenter(simplex))
-        for _ in range(60):
-            points.append(tuple(Fraction(rng.randint(-8, 40), 8 * den) for _ in range(2)))
+    for complex_ in oracle_complexes(rng):
+        points = probe_points(complex_, rng)
         inside = 0
         for point in points:
             expected = contains_by_scan(complex_, point)
             assert complex_.contains_point(point) == expected, point
             inside += expected
         assert 0 < inside < len(points)
+
+
+def test_barycenters_are_fraction_means_of_every_face():
+    rng = seeded(3308)
+    for complex_ in oracle_complexes(rng):
+        for simplex in complex_.top:
+            for size in range(1, len(simplex) + 1):
+                for face in combinations(simplex, size):
+                    expected = mean([complex_.vertices[i] for i in face])
+                    assert complex_.barycenter(face) == expected, face
+
+
+def verdict(verify, path, complex_, sub):
+    try:
+        return verify(path, complex_, sub)
+    except InvalidPath as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verify_avoidance_matches_fraction_reference(dim):
+    rng = seeded(3309 + dim)
+    kinds = Counter()
+    for _ in range(25):
+        complex_ = rational_complex(rng, dim, 2)
+        vertices = complex_.vertices
+        nverts = len(vertices)
+        start, end = rng.randrange(nverts), rng.randrange(nverts)
+        # vertices, and in space edges, of the tops: every face the
+        # codimension bound allows
+        faces = sorted({face for s in complex_.top for size in range(1, dim)
+                        for face in combinations(sorted(s), size)})
+        marked = rng.sample(faces, rng.randint(0, min(6, len(faces))))
+        if rng.random() < 0.5:
+            marked += [(start,), (end,)]
+        sub = Subcomplex(complex_, marked, start=start, end=end)
+        paths = [route_path(complex_, sub)]
+        for _ in range(3):
+            # a walk over vertices and barycenters, rarely leaving the complex
+            waypoints = [vertices[start]]
+            while len(waypoints) < rng.randint(3, 6):
+                simplex = rng.choice(complex_.top)
+                face = rng.sample(simplex, rng.randint(1, dim + 1))
+                point = complex_.barycenter(face)
+                if rng.random() < 0.05:
+                    point = tuple(8 * c for c in point)
+                if point != waypoints[-1]:
+                    waypoints.append(point)
+            if waypoints[-1] != vertices[end]:
+                waypoints.append(vertices[end])
+            paths.append(PLPath(waypoints=tuple(waypoints), tags=("walk",) * len(waypoints)))
+        for path in paths:
+            expected = verdict(verify_by_scan, path, complex_, sub)
+            assert verdict(verify_avoidance, path, complex_, sub) == expected
+            kinds["outside" if isinstance(expected, str) else expected[0]] += 1
+            # a route starting or ending on a marked endpoint is exempt there
+            if path is paths[0] and (start,) in sub.marked and expected == (True, None):
+                kinds["exempt"] += 1
+    assert min(kinds[True], kinds[False], kinds["outside"], kinds["exempt"]) >= 3, kinds
 
 
 def test_point_in_simplex_matches_fractions_in_two_and_three_dimensions():
@@ -223,12 +337,12 @@ def test_point_in_simplex_matches_fractions_in_two_and_three_dimensions():
                 continue
             point = tuple(sum(w * v[r] for w, v in zip(weights, vertices)) / total
                           for r in range(dim))
-            assert (_point_in_simplex(point, vertices)
+            assert (point_in_simplex(point, vertices)
                     == fraction_point_in_simplex(point, vertices)), (point, vertices)
             checked += 1
     flat = [(Fraction(0),) * 2, (Fraction(1),) * 2, (Fraction(2),) * 2]
     with pytest.raises(InvalidComplex, match="degenerate simplex"):
-        _point_in_simplex((Fraction(1), Fraction(1)), flat)
+        point_in_simplex((Fraction(1), Fraction(1)), flat)
 
 
 def laplace(rows):
